@@ -48,7 +48,7 @@
 //! ```text
 //! serving [--n 50000] [--d 3] [--k 10] [--clients 4] [--seconds 2.0]
 //!         [--rates 2000,8000] [--pool 64] [--skew 1.0] [--workers 2]
-//!         [--batch-max 32] [--batch-window-us 200] [--queue-depth 1024]
+//!         [--batch-max 32] [--queue-depth 1024]
 //!         [--overload-clients 8] [--overload-queue 1] [--cache]
 //!         [--shards P] [--degrade-shard S]
 //!         [--topology P|FILE] [--kill-replica]
@@ -78,7 +78,6 @@ struct Config {
     skew: f64,
     workers: usize,
     batch_max: usize,
-    batch_window_us: u64,
     queue_depth: usize,
     overload_clients: usize,
     overload_queue: usize,
@@ -106,7 +105,6 @@ impl Config {
             skew: 1.0,
             workers: 2,
             batch_max: 32,
-            batch_window_us: 200,
             queue_depth: 1024,
             overload_clients: 8,
             overload_queue: 1,
@@ -153,7 +151,6 @@ impl Config {
                 "--skew" => cfg.skew = fnum()?,
                 "--workers" => cfg.workers = num()?,
                 "--batch-max" => cfg.batch_max = num()?,
-                "--batch-window-us" => cfg.batch_window_us = num()? as u64,
                 "--queue-depth" => cfg.queue_depth = num()?,
                 "--overload-clients" => cfg.overload_clients = num()?,
                 "--overload-queue" => cfg.overload_queue = num()?,
@@ -775,9 +772,9 @@ fn main() {
             eprintln!(
                 "usage: serving [--n N] [--d D] [--k K] [--clients C] [--seconds S] \
                  [--rates R[,..]] [--pool P] [--skew Z] [--workers W] [--batch-max B] \
-                 [--batch-window-us US] [--queue-depth Q] [--overload-clients C] \
-                 [--overload-queue Q] [--cache] [--shards P] [--degrade-shard S] \
-                 [--topology P|FILE] [--kill-replica] [--out FILE] [--min-qps F]"
+                 [--queue-depth Q] [--overload-clients C] [--overload-queue Q] [--cache] \
+                 [--shards P] [--degrade-shard S] [--topology P|FILE] [--kill-replica] \
+                 [--out FILE] [--min-qps F]"
             );
             std::process::exit(2);
         }
@@ -791,7 +788,6 @@ fn main() {
         .addr("127.0.0.1:0")
         .workers(cfg.workers)
         .batch_max(cfg.batch_max)
-        .batch_window(Duration::from_micros(cfg.batch_window_us))
         .queue_depth(cfg.queue_depth)
         .cache(cfg.cache);
 
@@ -881,7 +877,6 @@ fn main() {
                 ("skew", Value::float(cfg.skew)),
                 ("workers", Value::uint(cfg.workers)),
                 ("batch_max", Value::uint(cfg.batch_max)),
-                ("batch_window_us", Value::uint(cfg.batch_window_us as usize)),
                 ("queue_depth", Value::uint(cfg.queue_depth)),
                 ("cache", Value::Bool(cfg.cache)),
             ]),

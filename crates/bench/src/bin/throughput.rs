@@ -3,8 +3,9 @@
 //! Measures, for each `(n, d, k)` cell:
 //!
 //! * per-query latency (p50/p99) and QPS of a sequential loop of
-//!   [`DualLayerIndex::topk`] calls (fresh scratch each query — the
-//!   baseline an application gets without the batch engine);
+//!   [`DualLayerIndex::topk`] calls (a scratch borrowed from the index's
+//!   pool each query — the baseline an application gets without the
+//!   batch engine);
 //! * wall-clock QPS of [`BatchExecutor::run_uniform`] at each requested
 //!   thread count (pooled scratch, scoped-thread fan-out);
 //! * mean paper cost (Definition 9) per query, which is identical across
@@ -321,7 +322,7 @@ fn run_cell(n: usize, d: usize, k: usize, cfg: &Config) -> (Value, f64) {
         let pool = cfg.zipf_pool;
         let zipf =
             ZipfWeightWorkload::new(d, pool, cfg.queries, skew, 0x21BF ^ n as u64).generate();
-        // Two uncached baselines: the plain convenience API (fresh
+        // Two uncached baselines: the plain convenience API (pooled
         // scratch per query, what a cache hit actually replaces) and the
         // reused-scratch loop (the tightest uncached configuration).
         let mut uncached_us = Vec::with_capacity(zipf.len());

@@ -9,10 +9,12 @@
 //! producer funnels through this one function, the optimized and reference
 //! builds are byte-identical *by construction* at the assembly stage.
 
-use crate::index::{CoarseLayer, Csr, DualLayerIndex, EdgeArena, IndexStats, NodeId};
+use crate::index::{CoarseLayer, DualLayerIndex, EdgeArena, IndexStats, NodeId};
 use crate::options::DlOptions;
+use crate::query::ScratchPool;
 use crate::zero::Zero2d;
 use drtopk_common::{Columns, Relation};
+use std::sync::OnceLock;
 
 /// Computes the traversal-order permutation over `n + p` nodes:
 ///
@@ -119,12 +121,6 @@ pub(crate) fn assemble(
     let (arena, forall_indeg, exists_indeg) =
         EdgeArena::build(total, &internal_forall, &internal_exists);
 
-    // Reverse CSRs (internal space) for O(degree) in-neighbor queries.
-    let mut rev_f: Vec<(NodeId, NodeId)> = internal_forall.iter().map(|&(s, t)| (t, s)).collect();
-    let mut rev_e: Vec<(NodeId, NodeId)> = internal_exists.iter().map(|&(s, t)| (t, s)).collect();
-    let (rev_forall, _) = Csr::from_edges(total, &mut rev_f);
-    let (rev_exists, _) = Csr::from_edges(total, &mut rev_e);
-
     // Chain tables (2-d exact zero layer): position ↔ internal id.
     let (chain_internal, chain_pos_of) = match &zero2d {
         Some(z) => {
@@ -185,8 +181,7 @@ pub(crate) fn assemble(
         arena,
         forall_indeg,
         exists_indeg,
-        rev_forall,
-        rev_exists,
+        reverse: OnceLock::new(),
         node_perm,
         node_orig,
         pseudo,
@@ -198,5 +193,6 @@ pub(crate) fn assemble(
         seeds,
         columns,
         stats,
+        scratch_pool: ScratchPool::default(),
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! A [`BatchExecutor`] answers many independent `(weights, k)` requests
 //! against one index by fanning contiguous chunks of the request slice
-//! across scoped worker threads. Each worker allocates a single
-//! [`QueryScratch`] and reuses it for every request of its chunk, so a
-//! batch of q queries costs O(threads) scratch allocations instead of
-//! O(q).
+//! across scoped worker threads. Each worker checks a single
+//! [`QueryScratch`] out of the index's pool and reuses it for every
+//! request of its chunk, so a batch of q queries costs at most O(threads)
+//! scratch allocations instead of O(q) — and none once the pool is warm.
 //!
 //! Determinism: results come back in request order, and each individual
 //! result is bit-identical to a sequential [`DualLayerIndex::topk`] call —
@@ -13,10 +13,10 @@
 //! deterministic, so the thread count can only change wall-clock time,
 //! never answers or costs.
 
-use crate::cache::ResultCache;
+use crate::cache::{CachedTopk, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::par::{parallel_map_chunked, resolve_workers_chunked};
-use crate::query::{GuardedTopk, QueryBudget, QueryScratch, TopkResult};
+use crate::query::{GuardedTopk, PooledScratch, QueryBudget, QueryScratch, TopkResult};
 use drtopk_common::Weights;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -123,21 +123,11 @@ impl<'a> BatchExecutor<'a> {
     /// Panics if any weight vector's dimensionality differs from the
     /// index's.
     pub fn run(&self, requests: &[(Weights, usize)]) -> Vec<TopkResult> {
-        let idx = self.idx;
-        let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
-        let out = parallel_map_chunked(
+        self.fan_out(
             requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| QueryScratch::for_index(idx),
-            &|scratch, (w, k)| match cache {
-                Some(c) => c.topk_with_scratch(idx, w, *k, scratch).into_result(),
-                None => idx.topk_with_scratch(w, *k, scratch),
-            },
-        );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
-        out
+            &|| self.idx.checkout_scratch(),
+            &|scratch, (w, k)| self.plain(scratch, w, *k),
+        )
     }
 
     /// Fault-isolated batch execution: every `(weights, k)` request is
@@ -156,9 +146,10 @@ impl<'a> BatchExecutor<'a> {
     ///   batch cooperatively — each remaining request returns its
     ///   truncated prefix instead of running to completion.
     ///
-    /// A worker whose request panicked rebuilds its pooled scratch before
-    /// the next request: the panic may have unwound mid-update, and a
-    /// fresh scratch is the only state guaranteed clean.
+    /// A worker whose request panicked drops its pooled scratch (it never
+    /// goes back to the index's pool) and checks out another before the
+    /// next request: the panic may have unwound mid-update, and a scratch
+    /// no panicking query touched is the only state guaranteed clean.
     ///
     /// With a cache attached: under an unlimited budget requests take the
     /// full cache path (lookup, fallback, fill). Under a real budget a
@@ -171,56 +162,9 @@ impl<'a> BatchExecutor<'a> {
         requests: &[(Weights, usize)],
         budget: &QueryBudget,
     ) -> Vec<Result<GuardedTopk, RequestError>> {
-        let idx = self.idx;
-        let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
-        let out = parallel_map_chunked(
-            requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| Some(QueryScratch::for_index(idx)),
-            &|slot: &mut Option<QueryScratch>, (w, k)| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    drtopk_failpoints::hit(WORKER_FAILPOINT)
-                        .map_err(|e| RequestError {
-                            message: e.to_string(),
-                        })
-                        .map(|()| {
-                            let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(idx));
-                            match cache {
-                                Some(c) if budget.is_unlimited() => {
-                                    let r = c.topk_with_scratch(idx, w, *k, scratch);
-                                    GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    }
-                                }
-                                Some(c) => match c.probe(idx, w, *k) {
-                                    Some(r) => GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    },
-                                    None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                                },
-                                None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                            }
-                        })
-                }));
-                match outcome {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        *slot = None;
-                        Err(RequestError {
-                            message: panic_message(payload),
-                        })
-                    }
-                }
-            },
-        );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
-        out
+        self.fan_out(requests, &|| None, &|slot, (w, k)| {
+            self.guarded(slot, w, *k, budget)
+        })
     }
 
     /// Like [`run_guarded`](Self::run_guarded), but with a **per-request**
@@ -238,75 +182,85 @@ impl<'a> BatchExecutor<'a> {
         &self,
         requests: &[(Weights, usize, QueryBudget)],
     ) -> Vec<Result<GuardedTopk, RequestError>> {
-        let idx = self.idx;
-        let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(requests.len() as u64);
-        let out = parallel_map_chunked(
-            requests,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| Some(QueryScratch::for_index(idx)),
-            &|slot: &mut Option<QueryScratch>, (w, k, budget)| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    drtopk_failpoints::hit(WORKER_FAILPOINT)
-                        .map_err(|e| RequestError {
-                            message: e.to_string(),
-                        })
-                        .map(|()| {
-                            let scratch = slot.get_or_insert_with(|| QueryScratch::for_index(idx));
-                            match cache {
-                                Some(c) if budget.is_unlimited() => {
-                                    let r = c.topk_with_scratch(idx, w, *k, scratch);
-                                    GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    }
-                                }
-                                Some(c) => match c.probe(idx, w, *k) {
-                                    Some(r) => GuardedTopk {
-                                        ids: r.ids,
-                                        cost: r.cost,
-                                        truncated: None,
-                                    },
-                                    None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                                },
-                                None => idx.topk_guarded_with_scratch(w, *k, budget, scratch),
-                            }
-                        })
-                }));
-                match outcome {
-                    Ok(result) => result,
-                    Err(payload) => {
-                        *slot = None;
-                        Err(RequestError {
-                            message: panic_message(payload),
-                        })
-                    }
-                }
-            },
-        );
-        drtopk_obs::metrics().batch_drain(out.len() as u64);
-        out
+        self.fan_out(requests, &|| None, &|slot, (w, k, budget)| {
+            self.guarded(slot, w, *k, budget)
+        })
     }
 
     /// Answers every query with the same `k` — the common benchmark shape.
     pub fn run_uniform(&self, queries: &[Weights], k: usize) -> Vec<TopkResult> {
-        let idx = self.idx;
-        let cache = self.cache;
-        drtopk_obs::metrics().batch_enqueue(queries.len() as u64);
-        let out = parallel_map_chunked(
-            queries,
-            self.threads,
-            MIN_REQUESTS_PER_WORKER,
-            &|| QueryScratch::for_index(idx),
-            &|scratch, w| match cache {
-                Some(c) => c.topk_with_scratch(idx, w, k, scratch).into_result(),
-                None => idx.topk_with_scratch(w, k, scratch),
-            },
-        );
+        self.fan_out(queries, &|| self.idx.checkout_scratch(), &|scratch, w| {
+            self.plain(scratch, w, k)
+        })
+    }
+
+    /// Maps `f` over `items` on up to `threads` workers, each holding the
+    /// state `init` gives it (its pooled scratch), with the batch metrics
+    /// recorded around the fan-out.
+    fn fan_out<T: Sync, R: Send, S>(
+        &self,
+        items: &[T],
+        init: &(dyn Fn() -> S + Sync),
+        f: &(dyn Fn(&mut S, &T) -> R + Sync),
+    ) -> Vec<R> {
+        drtopk_obs::metrics().batch_enqueue(items.len() as u64);
+        let out = parallel_map_chunked(items, self.threads, MIN_REQUESTS_PER_WORKER, init, f);
         drtopk_obs::metrics().batch_drain(out.len() as u64);
         out
+    }
+
+    /// One unguarded request: through the cache when one is attached.
+    fn plain(&self, scratch: &mut QueryScratch, w: &Weights, k: usize) -> TopkResult {
+        match self.cache {
+            Some(c) => c.topk_with_scratch(self.idx, w, k, scratch).into_result(),
+            None => self.idx.topk_with_scratch(w, k, scratch),
+        }
+    }
+
+    /// One guarded request under `budget` (the [`run_guarded`]
+    /// contract): the failpoint, then the cache or the guarded traversal,
+    /// all inside `catch_unwind`. `slot` is the worker's scratch, checked
+    /// out on first use; a panic discards it rather than returning it to
+    /// the pool.
+    ///
+    /// [`run_guarded`]: Self::run_guarded
+    fn guarded(
+        &self,
+        slot: &mut Option<PooledScratch<'a>>,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> Result<GuardedTopk, RequestError> {
+        let idx = self.idx;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            drtopk_failpoints::hit(WORKER_FAILPOINT).map_err(|e| RequestError {
+                message: e.to_string(),
+            })?;
+            let scratch = slot.get_or_insert_with(|| idx.checkout_scratch());
+            let hit = match self.cache {
+                Some(c) if budget.is_unlimited() => {
+                    Some(c.topk_with_scratch(idx, w, k, scratch).into_result())
+                }
+                Some(c) => c.probe(idx, w, k).map(CachedTopk::into_result),
+                None => None,
+            };
+            Ok(match hit {
+                Some(TopkResult { ids, cost }) => GuardedTopk {
+                    ids,
+                    cost,
+                    truncated: None,
+                },
+                None => idx.topk_guarded_with_scratch(w, k, budget, scratch),
+            })
+        }));
+        outcome.unwrap_or_else(|payload| {
+            if let Some(scratch) = slot.take() {
+                scratch.discard();
+            }
+            Err(RequestError {
+                message: panic_message(payload),
+            })
+        })
     }
 }
 

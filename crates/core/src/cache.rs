@@ -345,10 +345,10 @@ impl ResultCache {
         }
     }
 
-    /// Answers `topk(w, k)` through the cache with an internal scratch.
+    /// Answers `topk(w, k)` through the cache with a scratch from the
+    /// index's pool.
     pub fn topk(&self, idx: &DualLayerIndex, w: &Weights, k: usize) -> CachedTopk {
-        let mut scratch = QueryScratch::for_index(idx);
-        self.topk_with_scratch(idx, w, k, &mut scratch)
+        self.topk_with_scratch(idx, w, k, &mut idx.checkout_scratch())
     }
 
     /// Answers `topk(w, k)` through the cache, reusing the caller's

@@ -15,8 +15,10 @@
 //! at the API boundary: every public accessor speaks original `TupleId`s.
 
 use crate::options::DlOptions;
+use crate::query::ScratchPool;
 use crate::zero::Zero2d;
 use drtopk_common::{Columns, Relation, TupleId};
+use std::sync::OnceLock;
 
 /// Node identifier inside the index graph. Values below `n` are real tuple
 /// ids; values `n..n+p` address zero-layer pseudo-tuples. Both the public
@@ -216,8 +218,9 @@ pub struct IndexStats {
 ///
 /// Build with [`DualLayerIndex::build`]; query with
 /// [`DualLayerIndex::topk`](crate::query). The index owns a copy of the
-/// relation so queries can score tuples without external state.
-#[derive(Debug, Clone)]
+/// relation so queries can score tuples without external state, and a
+/// small pool of query scratch so they need not allocate.
+#[derive(Clone)]
 pub struct DualLayerIndex {
     pub(crate) rel: Relation,
     pub(crate) opts: DlOptions,
@@ -228,11 +231,10 @@ pub struct DualLayerIndex {
     pub(crate) forall_indeg: Vec<u32>,
     /// Per-node ∃ in-degree, internal-indexed.
     pub(crate) exists_indeg: Vec<u32>,
-    /// Reverse ∀ adjacency (internal space), built once so in-neighbor
-    /// queries are O(degree) instead of a full edge scan.
-    pub(crate) rev_forall: Csr,
-    /// Reverse ∃ adjacency (internal space).
-    pub(crate) rev_exists: Csr,
+    /// Reverse ∀ and ∃ adjacency (internal space) for O(degree)
+    /// in-neighbor queries, built on the first one: the traversal never
+    /// reads it, so an index that only answers top-k never holds it.
+    pub(crate) reverse: OnceLock<(Csr, Csr)>,
     /// Original (public) id → internal id.
     pub(crate) node_perm: Vec<NodeId>,
     /// Internal id → original (public) id.
@@ -258,6 +260,35 @@ pub struct DualLayerIndex {
     /// the traversal's scoring kernel gathers near-sequential rows.
     pub(crate) columns: Columns,
     pub(crate) stats: IndexStats,
+    /// Idle query scratch, sized for this node layout; empty in a clone.
+    pub(crate) scratch_pool: ScratchPool,
+}
+
+impl std::fmt::Debug for DualLayerIndex {
+    /// Every field but the lazily filled ones — the reverse adjacency and
+    /// the scratch pool — which are derived or working memory, not index
+    /// state.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DualLayerIndex")
+            .field("rel", &self.rel)
+            .field("opts", &self.opts)
+            .field("layers", &self.layers)
+            .field("arena", &self.arena)
+            .field("forall_indeg", &self.forall_indeg)
+            .field("exists_indeg", &self.exists_indeg)
+            .field("node_perm", &self.node_perm)
+            .field("node_orig", &self.node_orig)
+            .field("pseudo", &self.pseudo)
+            .field("pseudo_count", &self.pseudo_count)
+            .field("pseudo_fine", &self.pseudo_fine)
+            .field("zero2d", &self.zero2d)
+            .field("chain_internal", &self.chain_internal)
+            .field("chain_pos_of", &self.chain_pos_of)
+            .field("seeds", &self.seeds)
+            .field("columns", &self.columns)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DualLayerIndex {
@@ -387,15 +418,31 @@ impl DualLayerIndex {
     }
 
     /// ∀ in-neighbors of `node`, original ids ascending. O(in-degree) via
-    /// the prebuilt reverse CSR.
+    /// the reverse CSR (built by the first in-neighbor query).
     pub fn forall_in(&self, node: NodeId) -> Vec<NodeId> {
-        self.translate_sorted(self.rev_forall.out(self.node_perm[node as usize]))
+        self.translate_sorted(self.reverse().0.out(self.node_perm[node as usize]))
     }
 
     /// ∃ in-neighbors of `node`, original ids ascending. O(in-degree) via
-    /// the prebuilt reverse CSR.
+    /// the reverse CSR (built by the first in-neighbor query).
     pub fn exists_in(&self, node: NodeId) -> Vec<NodeId> {
-        self.translate_sorted(self.rev_exists.out(self.node_perm[node as usize]))
+        self.translate_sorted(self.reverse().1.out(self.node_perm[node as usize]))
+    }
+
+    fn reverse(&self) -> &(Csr, Csr) {
+        self.reverse.get_or_init(|| {
+            let total = self.total_nodes();
+            let (mut rev_f, mut rev_e) = (Vec::new(), Vec::new());
+            for s in 0..total as NodeId {
+                let (fo, eo) = self.arena.both(s);
+                rev_f.extend(fo.iter().map(|&t| (t, s)));
+                rev_e.extend(eo.iter().map(|&t| (t, s)));
+            }
+            (
+                Csr::from_edges(total, &mut rev_f).0,
+                Csr::from_edges(total, &mut rev_e).0,
+            )
+        })
     }
 
     fn translate_sorted(&self, internal: &[NodeId]) -> Vec<NodeId> {

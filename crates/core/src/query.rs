@@ -11,8 +11,9 @@ use drtopk_common::{Cost, TupleId, Weights};
 use drtopk_obs::{QueryCounters, QuerySpan};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-query execution limits, checked cooperatively at pop granularity.
@@ -231,7 +232,8 @@ impl Ord for Entry {
 
 /// Reusable per-query working memory. One scratch serves any number of
 /// sequential queries against the index it was created for; reusing it
-/// avoids the O(n) allocations a fresh [`DualLayerIndex::topk`] call makes.
+/// avoids the O(n) allocations a fresh scratch costs. The entry points that
+/// take no scratch borrow one from the index's own bounded pool.
 ///
 /// Per-node state (`remaining`, `eblocked`, `enqueued`, `chain_wait`) is
 /// *epoch-versioned*: each node carries a stamp, and state is lazily
@@ -262,8 +264,12 @@ pub struct QueryScratch {
 }
 
 impl QueryScratch {
-    /// Allocates scratch sized for `idx`: every per-node vector is sized
-    /// to the full node count up front, so no query ever reallocates.
+    /// Allocates scratch sized for `idx`. Every per-node vector is sized
+    /// to the full node count up front; the queue and the flush buffers
+    /// start empty and grow to the largest frontier a query needs, then
+    /// keep that capacity. A reused (or pooled) scratch therefore stops
+    /// reallocating after its first queries, and an idle pooled scratch
+    /// holds O(frontier) of them rather than O(n).
     pub fn for_index(idx: &DualLayerIndex) -> Self {
         let total = idx.total_nodes();
         QueryScratch {
@@ -273,9 +279,9 @@ impl QueryScratch {
             eblocked: vec![false; total],
             enqueued: vec![false; total],
             chain_wait: vec![false; total],
-            heap: BinaryHeap::with_capacity(total),
-            freed: Vec::with_capacity(total),
-            scores: Vec::with_capacity(total),
+            heap: BinaryHeap::new(),
+            freed: Vec::new(),
+            scores: Vec::new(),
             touched: 0,
             counters: QueryCounters::new(),
         }
@@ -364,6 +370,80 @@ impl QueryScratch {
     }
 }
 
+/// A bounded free list of [`QueryScratch`]es, owned by one index, so the
+/// allocating entry points ([`DualLayerIndex::topk`] and friends, every
+/// [`crate::BatchExecutor`] worker, every [`crate::DynamicIndex`] probe)
+/// pay the O(n) allocation once per concurrent caller instead of once per
+/// query. Checkout allocates when the pool is empty; check-in drops the
+/// scratch when the pool is full. A clone of the index starts with an
+/// empty pool: the scratches belong to the original's node layout.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
+    idle: Mutex<Vec<QueryScratch>>,
+}
+
+impl Clone for ScratchPool {
+    fn clone(&self) -> Self {
+        ScratchPool::default()
+    }
+}
+
+impl ScratchPool {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<QueryScratch>> {
+        // The lock is never held across a query, so poisoning cannot
+        // leave the free list half-updated.
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// A scratch checked out of an index's [`ScratchPool`]; dereferences to
+/// the [`QueryScratch`] and checks it back in on drop — unless the thread
+/// is unwinding from a panic, which may have left the scratch mid-update.
+pub(crate) struct PooledScratch<'a> {
+    pool: &'a ScratchPool,
+    scratch: Option<QueryScratch>,
+}
+
+impl PooledScratch<'_> {
+    /// Drops the scratch instead of returning it: for a caller that caught
+    /// a panic raised while the scratch was in use.
+    pub(crate) fn discard(mut self) {
+        self.scratch = None;
+    }
+}
+
+impl Deref for PooledScratch<'_> {
+    type Target = QueryScratch;
+
+    fn deref(&self) -> &QueryScratch {
+        self.scratch.as_ref().expect("scratch present until drop")
+    }
+}
+
+impl DerefMut for PooledScratch<'_> {
+    fn deref_mut(&mut self) -> &mut QueryScratch {
+        self.scratch.as_mut().expect("scratch present until drop")
+    }
+}
+
+impl Drop for PooledScratch<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            return;
+        }
+        if let Some(scratch) = self.scratch.take() {
+            let mut idle = self.pool.lock();
+            if idle.len() < DualLayerIndex::scratch_pool_cap() {
+                idle.push(scratch);
+            }
+        }
+    }
+}
+
 /// When a traversal stops.
 enum StopRule {
     /// After `k` real answers.
@@ -373,6 +453,30 @@ enum StopRule {
 }
 
 impl DualLayerIndex {
+    /// Checks a scratch out of this index's pool, allocating one when the
+    /// pool is empty.
+    pub(crate) fn checkout_scratch(&self) -> PooledScratch<'_> {
+        let pooled = self.scratch_pool.lock().pop();
+        PooledScratch {
+            pool: &self.scratch_pool,
+            scratch: Some(pooled.unwrap_or_else(|| QueryScratch::for_index(self))),
+        }
+    }
+
+    /// Scratches idle in this index's pool right now (at most
+    /// [`scratch_pool_cap`](Self::scratch_pool_cap)).
+    pub fn pooled_scratches(&self) -> usize {
+        self.scratch_pool.len()
+    }
+
+    /// The most scratches an index's pool keeps idle: one per core, the
+    /// most queries that can run against it at once without
+    /// oversubscribing the host.
+    pub fn scratch_pool_cap() -> usize {
+        static CAP: OnceLock<usize> = OnceLock::new();
+        *CAP.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+    }
+
     /// Answers a top-k query (Definition 1): the `k` tuples with the
     /// smallest scores under `w`, ties broken by tuple id.
     ///
@@ -393,8 +497,7 @@ impl DualLayerIndex {
     /// # Panics
     /// Panics if `w`'s dimensionality differs from the index's.
     pub fn topk(&self, w: &Weights, k: usize) -> TopkResult {
-        let mut scratch = QueryScratch::for_index(self);
-        self.run(w, StopRule::Count(k), &mut scratch, None)
+        self.run(w, StopRule::Count(k), &mut self.checkout_scratch(), None)
     }
 
     /// Like [`DualLayerIndex::topk`], reusing caller-provided scratch to
@@ -417,14 +520,14 @@ impl DualLayerIndex {
     /// `bound` is NaN.
     pub fn range_by_score(&self, w: &Weights, bound: f64) -> TopkResult {
         assert!(!bound.is_nan(), "score bound must not be NaN");
-        let mut scratch = QueryScratch::for_index(self);
+        let mut scratch = self.checkout_scratch();
         self.run(w, StopRule::Bound(bound), &mut scratch, None)
     }
 
     /// Like [`DualLayerIndex::topk`], also recording a full traversal trace.
     pub fn topk_traced(&self, w: &Weights, k: usize) -> (TopkResult, QueryTrace) {
         let mut trace = QueryTrace::default();
-        let mut scratch = QueryScratch::for_index(self);
+        let mut scratch = self.checkout_scratch();
         let result = self.run(w, StopRule::Count(k), &mut scratch, Some(&mut trace));
         (result, trace)
     }
@@ -555,8 +658,7 @@ impl DualLayerIndex {
     /// trips, otherwise the best-so-far prefix with a truncation marker
     /// (see [`GuardedTopk`] for the partial-result contract).
     pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> GuardedTopk {
-        let mut scratch = QueryScratch::for_index(self);
-        self.topk_guarded_with_scratch(w, k, budget, &mut scratch)
+        self.topk_guarded_with_scratch(w, k, budget, &mut self.checkout_scratch())
     }
 
     /// Like [`DualLayerIndex::topk_guarded`], reusing caller-provided

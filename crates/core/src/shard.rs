@@ -12,14 +12,16 @@
 //!   back as global ids and a k-way merge on `(score, handle)` — the
 //!   exact comparator the unsharded dynamic index sorts with — is
 //!   bit-identical to the unsharded answer.
-//! * **Fan-out** probes every shard concurrently, each probe isolated
+//! * **Fan-out** probes every shard concurrently — one on the calling
+//!   thread, the rest on scoped threads — each probe isolated
 //!   with `catch_unwind` — the same per-request panic isolation contract
 //!   [`crate::batch::BatchExecutor`] applies to guarded batch requests —
 //!   so one shard's panic degrades coverage instead of killing the
 //!   process.
 //! * **Health** per shard is Up / Degraded / Down, driven by consecutive
 //!   probe failures. A Down shard is skipped (no latency tax) until an
-//!   operator or recovery path marks it up again.
+//!   operator or recovery path marks it up again. Health lives in
+//!   atomics, so reading it on every query takes no lock.
 //! * **Retry** of transiently failed probes is bounded, with
 //!   deterministic jittered exponential backoff, and never sleeps past
 //!   the request's own deadline.
@@ -41,7 +43,7 @@ use drtopk_common::{Cost, Error, Relation, Weights};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -422,10 +424,37 @@ pub struct ShardedTopk {
     pub failures: Vec<(usize, ShardError)>,
 }
 
+/// One shard's health. Reads are lock-free; every transition happens
+/// under the router's `transitions` lock, so `state == Up` always comes
+/// with `consecutive_failures == 0`.
 #[derive(Debug)]
 struct HealthSlot {
-    state: ShardHealth,
-    consecutive_failures: u32,
+    /// A [`ShardHealth`] as its discriminant.
+    state: AtomicU8,
+    consecutive_failures: AtomicU32,
+}
+
+impl HealthSlot {
+    fn up() -> Self {
+        HealthSlot {
+            state: AtomicU8::new(ShardHealth::Up as u8),
+            consecutive_failures: AtomicU32::new(0),
+        }
+    }
+
+    fn state(&self) -> ShardHealth {
+        match self.state.load(SeqCst) {
+            0 => ShardHealth::Up,
+            1 => ShardHealth::Degraded,
+            _ => ShardHealth::Down,
+        }
+    }
+
+    fn set(&self, state: ShardHealth, consecutive_failures: u32) {
+        self.consecutive_failures
+            .store(consecutive_failures, SeqCst);
+        self.state.store(state as u8, SeqCst);
+    }
 }
 
 /// Outcome of one probe-with-retry, per shard.
@@ -443,7 +472,9 @@ enum ProbeOutcome {
 /// over durable, failpoint-instrumented shards.
 pub struct ShardRouter<S: ShardProbe> {
     shards: Vec<S>,
-    health: Mutex<Vec<HealthSlot>>,
+    health: Vec<HealthSlot>,
+    /// Serializes health transitions (never held across a probe).
+    transitions: Mutex<()>,
     cfg: RouterConfig,
     dims: usize,
 }
@@ -478,15 +509,11 @@ impl<S: ShardProbe> ShardRouter<S> {
             }
         }
         cfg.down_after = cfg.down_after.max(1);
-        let health = (0..shards.len())
-            .map(|_| HealthSlot {
-                state: ShardHealth::Up,
-                consecutive_failures: 0,
-            })
-            .collect();
+        let health = shards.iter().map(|_| HealthSlot::up()).collect();
         let router = ShardRouter {
             shards,
-            health: Mutex::new(health),
+            health,
+            transitions: Mutex::new(()),
             cfg,
             dims,
         };
@@ -516,70 +543,64 @@ impl<S: ShardProbe> ShardRouter<S> {
 
     /// Current health, indexed by shard.
     pub fn health(&self) -> Vec<ShardHealth> {
-        self.health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|h| h.state)
-            .collect()
+        self.health.iter().map(HealthSlot::state).collect()
+    }
+
+    /// Runs one health transition under the transitions lock.
+    fn transition<R>(&self, f: impl FnOnce() -> R) -> R {
+        let _serial = self.transitions.lock().unwrap_or_else(|e| e.into_inner());
+        f()
     }
 
     /// Administratively takes shard `s` Down: it is skipped until
     /// [`ShardRouter::mark_up`].
     pub fn cordon(&self, s: usize) {
-        {
-            let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-            health[s].state = ShardHealth::Down;
-            health[s].consecutive_failures = self.cfg.down_after;
-        }
+        self.transition(|| self.health[s].set(ShardHealth::Down, self.cfg.down_after));
         self.publish_health();
     }
 
     /// Restores shard `s` to Up with a clean failure count (the recovery
     /// path calls this after swapping a reopened store in).
     pub fn mark_up(&self, s: usize) {
-        {
-            let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-            health[s].state = ShardHealth::Up;
-            health[s].consecutive_failures = 0;
-        }
+        self.transition(|| self.health[s].set(ShardHealth::Up, 0));
         self.publish_health();
     }
 
     fn record_success(&self, s: usize) {
-        let changed = {
-            let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-            let slot = &mut health[s];
-            let changed = slot.state != ShardHealth::Up;
-            slot.state = ShardHealth::Up;
-            slot.consecutive_failures = 0;
+        let slot = &self.health[s];
+        if slot.state() == ShardHealth::Up {
+            return; // already Up with a clean count: nothing to change
+        }
+        let changed = self.transition(|| {
+            let changed = slot.state() != ShardHealth::Up;
+            slot.set(ShardHealth::Up, 0);
             changed
-        };
+        });
         if changed {
             self.publish_health();
         }
     }
 
     fn record_failure(&self, s: usize) {
-        {
-            let mut health = self.health.lock().unwrap_or_else(|e| e.into_inner());
-            let slot = &mut health[s];
+        let slot = &self.health[s];
+        self.transition(|| {
             // A cordoned/Down shard stays Down; failures past the
             // threshold don't need recounting.
-            slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-            slot.state = if slot.consecutive_failures >= self.cfg.down_after {
+            let failures = slot.consecutive_failures.load(SeqCst).saturating_add(1);
+            let state = if failures >= self.cfg.down_after {
                 ShardHealth::Down
             } else {
                 ShardHealth::Degraded
             };
-        }
+            slot.set(state, failures);
+        });
         self.publish_health();
     }
 
     fn publish_health(&self) {
         let (mut up, mut degraded, mut down) = (0u64, 0u64, 0u64);
-        for h in self.health.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            match h.state {
+        for h in &self.health {
+            match h.state() {
                 ShardHealth::Up => up += 1,
                 ShardHealth::Degraded => degraded += 1,
                 ShardHealth::Down => down += 1,
@@ -667,7 +688,9 @@ impl<S: ShardProbe> ShardRouter<S> {
     }
 
     /// Routed top-k: fan out to every non-Down shard, retry transient
-    /// failures, and heap-merge k-from-each into the global answer.
+    /// failures, and heap-merge k-from-each into the global answer. The
+    /// first live shard is probed on the calling thread and only the
+    /// others get a scoped thread, so P = 1 spawns nothing.
     ///
     /// The returned [`ShardedTopk::coverage`] names the shards whose full
     /// top-k entered the merge; the answer is exact over exactly those
@@ -676,31 +699,25 @@ impl<S: ShardProbe> ShardRouter<S> {
     /// faults degrade coverage instead.
     pub fn topk(&self, w: &Weights, k: usize, budget: &QueryBudget) -> ShardedTopk {
         let p = self.shards.len();
-        let skip: Vec<bool> = self
-            .health()
-            .into_iter()
-            .map(|h| h == ShardHealth::Down)
+        let live: Vec<usize> = (0..p)
+            .filter(|&s| self.health[s].state() != ShardHealth::Down)
             .collect();
-        let outcomes: Vec<ProbeOutcome> = std::thread::scope(|scope| {
-            let joins: Vec<_> = (0..p)
-                .map(|s| {
-                    if skip[s] {
-                        None
-                    } else {
-                        Some(scope.spawn(move || self.probe_with_retry(s, w, k, budget)))
-                    }
-                })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| match j {
-                    None => ProbeOutcome::Skipped,
-                    Some(handle) => handle.join().unwrap_or_else(|_| {
+        let mut outcomes: Vec<ProbeOutcome> = (0..p).map(|_| ProbeOutcome::Skipped).collect();
+        if let Some((&first, rest)) = live.split_first() {
+            let probe = |s: usize| self.probe_with_retry(s, w, k, budget);
+            std::thread::scope(|scope| {
+                let joins: Vec<_> = rest
+                    .iter()
+                    .map(|&s| (s, scope.spawn(move || probe(s))))
+                    .collect();
+                outcomes[first] = probe(first);
+                for (s, handle) in joins {
+                    outcomes[s] = handle.join().unwrap_or_else(|_| {
                         ProbeOutcome::Failed(ShardError::Panic("probe thread died".into()))
-                    }),
-                })
-                .collect()
-        });
+                    });
+                }
+            });
+        }
         let mut coverage = ShardCoverage::empty(p);
         let mut truncated: Option<TruncateReason> = None;
         let mut cost = Cost::new();

@@ -9,8 +9,8 @@
 //!   contract**: length-prefixed CRC-checked frames in the style of the
 //!   write-ahead log, a budget header per query, explicit error codes.
 //! * [`server`] — the service: per-connection readers feed one bounded
-//!   admission queue; a fixed worker pool drains it in adaptive
-//!   micro-batches (flush on size or age) through
+//!   admission queue; a fixed worker pool drains it in flush-when-idle
+//!   micro-batches (whatever is queued, up to `batch_max`) through
 //!   [`BatchExecutor::run_guarded_each`](drtopk_core::BatchExecutor::run_guarded_each),
 //!   each request under its own deadline. Overload sheds fast
 //!   (`Overloaded` replies) instead of queueing without bound; shutdown

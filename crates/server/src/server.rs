@@ -1,4 +1,4 @@
-//! The index service: accept loop, admission control, adaptive
+//! The index service: accept loop, admission control, flush-when-idle
 //! micro-batching, graceful drain.
 //!
 //! Architecture (DESIGN.md §8): one reader thread per connection parses
@@ -9,8 +9,10 @@
 //! budget header (§3.1) at admission time — so time spent queued counts
 //! against the client's deadline. When the queue is full, admission sheds
 //! the request with a fast `Overloaded` reply (§5.1) instead of letting
-//! latency collapse; when a batch fills to `batch_max` or ages past
-//! `batch_window` — whichever comes first — it flushes.
+//! latency collapse. A free worker takes whatever is queued, up to
+//! `batch_max`, and runs it at once: it never waits for more requests to
+//! arrive, so batches form only from requests that queued while every
+//! worker was busy.
 
 use crate::pinger::{HealthPinger, PingerConfig};
 use crate::protocol::{
@@ -45,21 +47,20 @@ const READ_POLL: Duration = Duration::from_millis(25);
 ///
 /// ```
 /// use drtopk_server::ServerConfig;
-/// use std::time::Duration;
 ///
 /// let cfg = ServerConfig::new()
 ///     .addr("127.0.0.1:0") // port 0: pick an ephemeral port
 ///     .workers(2)
 ///     .batch_max(64)
-///     .batch_window(Duration::from_micros(200))
 ///     .queue_depth(512)
 ///     .cache(true);
 /// assert_eq!(cfg.get_workers(), 2);
 /// assert_eq!(cfg.get_queue_depth(), 512);
 /// ```
 ///
-/// Defaults favor a small host: 2 workers, batches of up to 32 requests
-/// flushed after at most 200 µs, a queue of 1024, no cache.
+/// Defaults favor a small host: 2 workers, batches of at most 32 of the
+/// requests already queued (a worker never waits to fill one), a queue of
+/// 1024, no cache.
 ///
 /// ```
 /// let cfg = drtopk_server::ServerConfig::new();
@@ -71,7 +72,6 @@ pub struct ServerConfig {
     addr: String,
     workers: usize,
     batch_max: usize,
-    batch_window: Duration,
     queue_depth: usize,
     cache: bool,
 }
@@ -82,7 +82,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             batch_max: 32,
-            batch_window: Duration::from_micros(200),
             queue_depth: 1024,
             cache: false,
         }
@@ -108,18 +107,10 @@ impl ServerConfig {
         self
     }
 
-    /// Flush a micro-batch once it holds this many requests (minimum 1).
+    /// The most queued requests one worker takes as a micro-batch
+    /// (minimum 1).
     pub fn batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Flush a micro-batch once its oldest request has waited this long,
-    /// even if it is below [`batch_max`](Self::batch_max). Zero disables
-    /// batching-by-age (every flush is size-1 unless requests are already
-    /// queued).
-    pub fn batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
         self
     }
 
@@ -148,14 +139,9 @@ impl ServerConfig {
         self.workers
     }
 
-    /// Configured batch-size flush bound.
+    /// Configured micro-batch size bound.
     pub fn get_batch_max(&self) -> usize {
         self.batch_max
-    }
-
-    /// Configured batch-age flush bound.
-    pub fn get_batch_window(&self) -> Duration {
-        self.batch_window
     }
 
     /// Configured admission bound.
@@ -898,8 +884,8 @@ fn admit_query(
     shared.work_ready.notify_one();
 }
 
-/// One worker: assemble a micro-batch (flush on size or age, whichever
-/// first), run it, write the replies.
+/// One worker: take a micro-batch of whatever is queued, run it, write
+/// the replies.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let batch = match next_batch(shared) {
@@ -910,46 +896,26 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Blocks for work, then gathers up to `batch_max` requests, waiting at
-/// most `batch_window` past the first one. Returns `None` when the
-/// server is shutting down and the queue is empty.
+/// Blocks until the queue holds work, then takes a batch of what is
+/// already there. Returns `None` when the server is shutting down and the
+/// queue is empty.
 fn next_batch(shared: &Arc<Shared>) -> Option<Vec<Pending>> {
     let mut queue = shared.queue.lock().unwrap();
-    loop {
-        if !queue.is_empty() {
-            break;
-        }
+    while queue.is_empty() {
         if shared.shutting_down() {
             return None;
         }
         queue = shared.work_ready.wait(queue).unwrap();
     }
-    let mut batch = Vec::with_capacity(shared.cfg.batch_max.min(queue.len()));
-    batch.push(queue.pop_front().unwrap());
-    let opened = Instant::now();
-    while batch.len() < shared.cfg.batch_max {
-        if let Some(p) = queue.pop_front() {
-            batch.push(p);
-            continue;
-        }
-        if shared.shutting_down() {
-            break; // flush immediately: nothing more is coming
-        }
-        let age = opened.elapsed();
-        if age >= shared.cfg.batch_window {
-            break;
-        }
-        let (q, timeout) = shared
-            .work_ready
-            .wait_timeout(queue, shared.cfg.batch_window - age)
-            .unwrap();
-        queue = q;
-        if timeout.timed_out() && queue.is_empty() {
-            break;
-        }
-    }
-    drop(queue);
-    Some(batch)
+    Some(drain_batch(&mut queue, shared.cfg.batch_max))
+}
+
+/// The batching policy: the oldest `min(queued, batch_max)` requests, in
+/// admission order. It never waits for more to arrive — a request that
+/// finds a worker free runs alone, at once.
+fn drain_batch<T>(queue: &mut VecDeque<T>, batch_max: usize) -> Vec<T> {
+    let take = queue.len().min(batch_max);
+    queue.drain(..take).collect()
 }
 
 fn run_batch(batch: Vec<Pending>, shared: &Arc<Shared>) {
@@ -1106,4 +1072,23 @@ fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::drain_batch;
+    use std::collections::VecDeque;
+
+    #[test]
+    fn drain_batch_takes_what_is_queued_up_to_batch_max() {
+        for queued in 0..6usize {
+            for batch_max in 1..5usize {
+                let mut queue: VecDeque<usize> = (0..queued).collect();
+                let batch = drain_batch(&mut queue, batch_max);
+                let take = queued.min(batch_max);
+                assert_eq!(batch, (0..take).collect::<Vec<_>>(), "oldest first");
+                assert_eq!(queue, (take..queued).collect::<VecDeque<_>>());
+            }
+        }
+    }
 }

@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn build_index(d: usize, n: usize, seed: u64) -> Arc<DualLayerIndex> {
     let rel = WorkloadSpec::new(Distribution::AntiCorrelated, d, n, seed).generate();
@@ -41,10 +40,7 @@ fn loopback_matrix_is_bit_identical_to_in_process_topk() {
         let idx = build_index(d, 400, 13 + d as u64);
         let handle = Server::start(
             Arc::clone(&idx),
-            ServerConfig::new()
-                .workers(2)
-                .batch_max(8)
-                .batch_window(Duration::from_micros(100)),
+            ServerConfig::new().workers(2).batch_max(8),
         )
         .expect("start server");
         let addr = handle.addr();
@@ -267,10 +263,7 @@ fn pipelined_queries_pair_up_by_request_id() {
     let idx = build_index(d, 300, 17);
     let handle = Server::start(
         Arc::clone(&idx),
-        ServerConfig::new()
-            .workers(2)
-            .batch_max(4)
-            .batch_window(Duration::from_micros(50)),
+        ServerConfig::new().workers(2).batch_max(4),
     )
     .expect("start");
     let mut client = Client::connect(handle.addr()).expect("connect");
