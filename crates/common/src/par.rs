@@ -103,6 +103,19 @@ pub fn parallel_map_chunked<T: Sync, R: Send, S>(
         .collect()
 }
 
+/// The text of a caught panic: its `&str` or `String` payload, or a
+/// placeholder for any other payload type. Callers that isolate a panic to
+/// one request report it with this.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

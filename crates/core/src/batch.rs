@@ -13,16 +13,16 @@
 //! deterministic, so the thread count can only change wall-clock time,
 //! never answers or costs.
 
-use crate::cache::{CachedTopk, ResultCache};
+use crate::cache::{static_ids, Lookup, ResultCache};
 use crate::index::DualLayerIndex;
-use crate::par::{parallel_map_chunked, resolve_workers_chunked};
 use crate::query::{GuardedTopk, PooledScratch, QueryBudget, QueryScratch, TopkResult};
+use drtopk_common::par::{panic_message, parallel_map_chunked, resolve_workers_chunked};
 use drtopk_common::Weights;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Failpoint visited once per request on the guarded path, before the
-/// query runs. The chaos suite arms it with a panic to prove one poisoned
-/// request cannot take down its batch.
+/// Failpoint visited once per request on the guarded path (and by the
+/// server's answer loop), before the query runs. The chaos suite arms it
+/// with a panic to prove one poisoned request cannot take down its batch.
 pub const WORKER_FAILPOINT: &str = "batch::worker";
 
 /// A per-request failure inside [`BatchExecutor::run_guarded`]: the
@@ -41,16 +41,6 @@ impl std::fmt::Display for RequestError {
 }
 
 impl std::error::Error for RequestError {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "query worker panicked".to_string()
-    }
-}
 
 /// Smallest number of requests worth handing one worker thread. A top-k
 /// query on a built index runs in tens of microseconds, so dispatching
@@ -237,20 +227,25 @@ impl<'a> BatchExecutor<'a> {
                 message: e.to_string(),
             })?;
             let scratch = slot.get_or_insert_with(|| idx.checkout_scratch());
-            let hit = match self.cache {
-                Some(c) if budget.is_unlimited() => {
-                    Some(c.topk_with_scratch(idx, w, k, scratch).into_result())
-                }
-                Some(c) => c.probe(idx, w, k).map(CachedTopk::into_result),
-                None => None,
-            };
-            Ok(match hit {
-                Some(TopkResult { ids, cost }) => GuardedTopk {
-                    ids,
+            let looked = self
+                .cache
+                .map(|c| (c, c.lookup(idx, w, k.min(idx.len()), budget)));
+            Ok(match looked {
+                Some((_, Lookup::Hit { hits, cost, .. })) => GuardedTopk {
+                    ids: static_ids(hits),
                     cost,
                     truncated: None,
                 },
-                None => idx.topk_guarded_with_scratch(w, k, budget, scratch),
+                Some((c, Lookup::Miss(Some(ticket)))) => {
+                    let r = idx.topk_with_scratch(w, ticket.fetch(), scratch);
+                    let TopkResult { ids, cost } = c.fill_static(ticket, idx, w, r);
+                    GuardedTopk {
+                        ids,
+                        cost,
+                        truncated: None,
+                    }
+                }
+                _ => idx.topk_guarded_with_scratch(w, k, budget, scratch),
             })
         }));
         outcome.unwrap_or_else(|payload| {
@@ -258,7 +253,7 @@ impl<'a> BatchExecutor<'a> {
                 scratch.discard();
             }
             Err(RequestError {
-                message: panic_message(payload),
+                message: panic_message(payload.as_ref()),
             })
         })
     }

@@ -12,10 +12,10 @@
 
 use crate::index::{CoarseLayer, DualLayerIndex, NodeId};
 use crate::options::{DlOptions, EdsPolicy, ZeroMode};
-use crate::par::parallel_map;
 use crate::profile::BuildProfile;
 use crate::zero::Zero2d;
 use drtopk_cluster::{cluster_min_corners, kmeans};
+use drtopk_common::par::parallel_map;
 use drtopk_common::{dominates, Relation, TupleId};
 use drtopk_geometry::csky::{convex_layers, ConvexLayer};
 use drtopk_geometry::facet_is_eds;

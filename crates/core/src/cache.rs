@@ -8,11 +8,12 @@
 //! weight vectors into O(k) — or zero — work:
 //!
 //! * **d = 2, exact zero layer present**: entries are keyed by the
-//!   [`Zero2d`] facet-slope cell containing `w` (the reverse top-*1* cell
-//!   the index already computes). At fill time the cache derives, in
-//!   closed form, the exact `w₁` interval on which the cached answer
-//!   *list* (set **and** order) provably stays the answer; a hit is an
-//!   interval-containment check and returns the stored ids verbatim —
+//!   [`Zero2d`](crate::zero::Zero2d) facet-slope cell containing `w`
+//!   (the reverse top-*1* cell the index already computes). At fill
+//!   time the cache derives, in closed form, the exact `w₁` interval on
+//!   which the cached answer *list* (set **and** order) provably stays
+//!   the answer; a hit is an interval-containment check and returns the
+//!   stored ids verbatim —
 //!   zero traversal, zero rescoring, reported cost `0`.
 //! * **d ≥ 3 (or 2-d without the exact zero layer)**: entries are keyed
 //!   by a quantized weight direction and validated per hit with a
@@ -69,8 +70,7 @@
 //! write lock of one shard, invalidation is a single atomic bump.
 
 use crate::index::DualLayerIndex;
-use crate::query::{QueryScratch, TopkResult};
-use crate::zero::Zero2d;
+use crate::query::{QueryBudget, QueryScratch, TopkResult};
 use drtopk_common::{Cost, TupleId, Weights};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -217,17 +217,42 @@ struct Entry {
     interval: Option<(f64, f64)>,
 }
 
-/// Outcome of a raw lookup (ids are `u64` so the same machinery serves
-/// static `TupleId`s and dynamic `Handle`s).
+/// What one [`ResultCache::lookup`] found. Ids are `u64` so the same
+/// path serves static `TupleId`s and dynamic `Handle`s.
 #[derive(Debug)]
-pub(crate) enum CacheLookup {
-    /// 2-d interval hit: the stored answer list, verbatim.
-    Hit2d(Vec<u64>),
-    /// Certified hit: ids re-sorted under the new weights, plus the
-    /// number of rescoring evaluations performed.
-    HitCertified(Vec<u64>, u64),
-    /// No valid entry.
-    Miss,
+pub enum Lookup {
+    /// A provably valid entry answered the query.
+    Hit {
+        /// `(score under the query's weights, id)` pairs in answer order.
+        hits: Vec<(f64, u64)>,
+        /// `0` on a 2-d cell hit, `k` rescores on a certified hit.
+        cost: Cost,
+        /// [`CacheOutcome::Hit2d`] or [`CacheOutcome::HitCertified`].
+        outcome: CacheOutcome,
+    },
+    /// No valid entry: the caller traverses. The ticket is `Some` when the
+    /// answer may fill the cache, and `None` when the cache does not apply
+    /// (k = 0, k above `max_k`) or the query runs under a limited budget.
+    Miss(Option<FillTicket>),
+}
+
+/// A miss's licence to fill: the key and generation its lookup saw, and
+/// the answer size. [`ResultCache::fill_static`] (or the dynamic index's
+/// query body) consumes it; a ticket outlived by an invalidation fills an
+/// entry that is already stale, so it can never be served.
+#[derive(Debug)]
+pub struct FillTicket {
+    key: CacheKey,
+    generation: u64,
+    k: usize,
+}
+
+impl FillTicket {
+    /// How many answers the filling traversal fetches: k + 1, the extra
+    /// one being the new entry's barrier.
+    pub fn fetch(&self) -> usize {
+        self.k + 1
+    }
 }
 
 type Shard = HashMap<CacheKey, Vec<Entry>>;
@@ -361,191 +386,196 @@ impl ResultCache {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> CachedTopk {
-        let n = idx.len();
-        let k_eff = k.min(n);
-        if k_eff == 0 || k_eff > self.cfg.max_k {
-            let r = idx.topk_with_scratch(w, k, scratch);
-            return CachedTopk {
-                ids: r.ids,
-                cost: r.cost,
-                outcome: CacheOutcome::Bypass,
-            };
-        }
-        let key = self.key_for_parts(idx.dims(), idx.zero2d(), w, k_eff as u32);
-        let generation = self.generation();
-        match self.lookup_raw(&key, w, idx.dims(), generation) {
-            CacheLookup::Hit2d(ids) => CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost::new(),
-                outcome: CacheOutcome::Hit2d,
-            },
-            CacheLookup::HitCertified(ids, evals) => CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost {
-                    evaluated: evals,
-                    pseudo_evaluated: 0,
-                },
-                outcome: CacheOutcome::HitCertified,
-            },
-            CacheLookup::Miss => {
-                // Fetch one extra answer: it is the new entry's barrier.
-                let fetch = (k_eff + 1).min(n);
-                let r = idx.topk_with_scratch(w, fetch, scratch);
-                let barrier = if r.ids.len() > k_eff {
-                    w.score(idx.relation().tuple(r.ids[k_eff]))
-                } else {
-                    f64::INFINITY
-                };
-                let answer: Vec<TupleId> = r.ids[..k_eff].to_vec();
-                let dims = idx.dims();
-                let mut coords = Vec::with_capacity(k_eff * dims);
-                for &t in &answer {
-                    coords.extend_from_slice(idx.relation().tuple(t));
-                }
-                let ids: Vec<u64> = answer.iter().map(|&t| t as u64).collect();
-                self.store_raw(key, generation, w.as_slice(), ids, coords, barrier);
-                CachedTopk {
-                    ids: answer,
-                    cost: r.cost,
-                    outcome: CacheOutcome::Miss,
-                }
+        let unlimited = QueryBudget::unlimited();
+        let (r, outcome) = match self.lookup(idx, w, k.min(idx.len()), &unlimited) {
+            Lookup::Hit {
+                hits,
+                cost,
+                outcome,
+            } => {
+                let ids = static_ids(hits);
+                (TopkResult { ids, cost }, outcome)
             }
+            Lookup::Miss(Some(ticket)) => {
+                let r = idx.topk_with_scratch(w, ticket.fetch(), scratch);
+                (self.fill_static(ticket, idx, w, r), CacheOutcome::Miss)
+            }
+            // Under an unlimited budget only a bypass comes without a ticket.
+            Lookup::Miss(None) => (idx.topk_with_scratch(w, k, scratch), CacheOutcome::Bypass),
+        };
+        CachedTopk {
+            ids: r.ids,
+            cost: r.cost,
+            outcome,
         }
     }
 
     /// Hit-only probe: returns the answer if a provably-valid entry
-    /// exists, without falling back or storing. Budget-guarded callers
-    /// use this — a hit is always a *complete* answer that cost at most
-    /// k evaluations, a miss proceeds under the budget unchanged.
+    /// exists, without falling back or storing.
     pub fn probe(&self, idx: &DualLayerIndex, w: &Weights, k: usize) -> Option<CachedTopk> {
-        let n = idx.len();
-        let k_eff = k.min(n);
+        match self.lookup(idx, w, k.min(idx.len()), &QueryBudget::unlimited()) {
+            Lookup::Hit {
+                hits,
+                cost,
+                outcome,
+            } => Some(CachedTopk {
+                ids: static_ids(hits),
+                cost,
+                outcome,
+            }),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// The one cache lookup. Keys the query by the cell `w` falls in on
+    /// `idx` — the exact facet cell when the 2-d zero layer exists, the
+    /// quantized direction otherwise — for an answer of `k_eff` tuples (k
+    /// already clamped to the live tuple count), validates the key's
+    /// entries against `w`, and counts the outcome.
+    ///
+    /// A miss carries a [`FillTicket`] only under an unlimited `budget`:
+    /// a budgeted query never fills, so a truncated answer cannot poison
+    /// the cache and the query does not pay the fill's k+1 over-fetch.
+    /// A hit is served under any budget: it is a complete answer that
+    /// cost at most k rescores.
+    pub fn lookup(
+        &self,
+        idx: &DualLayerIndex,
+        w: &Weights,
+        k_eff: usize,
+        budget: &QueryBudget,
+    ) -> Lookup {
         if k_eff == 0 || k_eff > self.cfg.max_k {
-            return None;
+            return Lookup::Miss(None);
         }
-        let key = self.key_for_parts(idx.dims(), idx.zero2d(), w, k_eff as u32);
-        match self.lookup_raw(&key, w, idx.dims(), self.generation()) {
-            CacheLookup::Hit2d(ids) => Some(CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost::new(),
-                outcome: CacheOutcome::Hit2d,
-            }),
-            CacheLookup::HitCertified(ids, evals) => Some(CachedTopk {
-                ids: ids.into_iter().map(|i| i as TupleId).collect(),
-                cost: Cost {
-                    evaluated: evals,
-                    pseudo_evaluated: 0,
-                },
-                outcome: CacheOutcome::HitCertified,
-            }),
-            CacheLookup::Miss => None,
-        }
-    }
-
-    /// The key for a query: the exact facet cell when the 2-d zero layer
-    /// exists, the quantized direction otherwise.
-    pub(crate) fn key_for_parts(
-        &self,
-        dims: usize,
-        zero2d: Option<&Zero2d>,
-        w: &Weights,
-        k: u32,
-    ) -> CacheKey {
-        if dims == 2 {
-            if let Some(z) = zero2d {
-                return CacheKey::Cell {
-                    cell: z.select(w) as u32,
-                    k,
-                };
+        let dims = idx.dims();
+        let key = match idx.zero2d().filter(|_| dims == 2) {
+            Some(z) => CacheKey::Cell {
+                cell: z.select(w) as u32,
+                k: k_eff as u32,
+            },
+            None => {
+                let q = f64::from(self.cfg.quant);
+                let top = (self.cfg.quant - 1) as u16;
+                let dir: Box<[u16]> = w
+                    .as_slice()
+                    .iter()
+                    .map(|&x| (((x * q) as u32).min(u32::from(top))) as u16)
+                    .collect();
+                CacheKey::Quant {
+                    dir,
+                    k: k_eff as u32,
+                }
             }
-        }
-        let q = f64::from(self.cfg.quant);
-        let top = (self.cfg.quant - 1) as u16;
-        let dir: Box<[u16]> = w
-            .as_slice()
-            .iter()
-            .map(|&x| (((x * q) as u32).min(u32::from(top))) as u16)
-            .collect();
-        CacheKey::Quant { dir, k }
-    }
-
-    /// Looks `key` up and validates candidates against `w`; counts the
-    /// outcome. Ids come back as raw `u64` (static `TupleId`s or dynamic
-    /// `Handle`s, whatever the caller stored).
-    pub(crate) fn lookup_raw(
-        &self,
-        key: &CacheKey,
-        w: &Weights,
-        dims: usize,
-        generation: u64,
-    ) -> CacheLookup {
+        };
+        let generation = self.generation();
         let m = drtopk_obs::metrics();
-        let shard = self.shards[self.shard_of(key)].read().unwrap();
+        let shard = self.shards[self.shard_of(&key)].read().unwrap();
         let mut rejects = 0u64;
-        let result = (|| {
-            let entries = shard.get(key)?;
-            // Oldest first: under a skewed workload the most popular
-            // weights miss — and therefore store — earliest, so a forward
-            // scan finds hot entries in the first few probes. Stale
-            // entries are skipped by the generation check either way, and
-            // every valid entry certifies the same answer, so scan order
-            // never changes results, only hit latency.
-            for e in entries.iter() {
-                if e.generation != generation {
-                    continue;
+        // Oldest first: under a skewed workload the most popular weights
+        // miss — and therefore store — earliest, so a forward scan finds
+        // hot entries in the first few probes. Stale entries are skipped
+        // by the generation check either way, and every valid entry
+        // certifies the same answer, so scan order never changes results,
+        // only hit latency.
+        let entries = shard.get(&key).map_or(&[][..], Vec::as_slice);
+        let hit = entries
+            .iter()
+            .filter(|e| e.generation == generation)
+            .find_map(|e| match e.interval {
+                Some((lo, hi)) => {
+                    let w1 = w.as_slice()[0];
+                    (lo < w1 && w1 < hi).then(|| {
+                        let hits = e
+                            .ids
+                            .iter()
+                            .zip(e.coords.chunks_exact(dims))
+                            .map(|(&id, row)| (w.score(row), id))
+                            .collect();
+                        (hits, Cost::new(), CacheOutcome::Hit2d)
+                    })
                 }
-                match e.interval {
-                    Some((lo, hi)) => {
-                        let w1 = w.as_slice()[0];
-                        if lo < w1 && w1 < hi {
-                            return Some(CacheLookup::Hit2d(e.ids.to_vec()));
-                        }
-                    }
-                    None => match certify(e, w, dims) {
-                        Some(ids) => {
-                            let evals = e.ids.len() as u64;
-                            return Some(CacheLookup::HitCertified(ids, evals));
-                        }
-                        None => rejects += 1,
-                    },
+                None => {
+                    let certified = certify(e, w, dims);
+                    rejects += u64::from(certified.is_none());
+                    let evals = Cost {
+                        evaluated: e.ids.len() as u64,
+                        pseudo_evaluated: 0,
+                    };
+                    certified.map(|hits| (hits, evals, CacheOutcome::HitCertified))
                 }
-            }
-            None
-        })();
+            });
         drop(shard);
         if rejects > 0 {
             self.cert_rejects.fetch_add(rejects, Relaxed);
             m.cache_cert_reject(rejects);
         }
-        match result {
-            Some(hit) => {
+        match hit {
+            Some((hits, cost, outcome)) => {
                 self.hits.fetch_add(1, Relaxed);
                 m.cache_hit();
-                hit
+                Lookup::Hit {
+                    hits,
+                    cost,
+                    outcome,
+                }
             }
             None => {
                 self.misses.fetch_add(1, Relaxed);
                 m.cache_miss();
-                CacheLookup::Miss
+                Lookup::Miss(budget.is_unlimited().then_some(FillTicket {
+                    key,
+                    generation,
+                    k: k_eff,
+                }))
             }
         }
     }
 
-    /// Inserts a freshly-computed answer. `coords` is `ids.len()` rows in
-    /// answer order; `barrier` is the (k+1)-th score under `w0` (`+∞`
-    /// when the answer exhausts the data).
-    pub(crate) fn store_raw(
+    /// Completes a static-index miss that holds a ticket: `r` is the
+    /// traversal's answer for [`FillTicket::fetch`] tuples. Stores its
+    /// first k with the (k+1)-th score as the barrier, and returns those
+    /// k with the traversal's cost.
+    pub fn fill_static(
         &self,
-        key: CacheKey,
-        generation: u64,
-        w0: &[f64],
-        ids: Vec<u64>,
-        coords: Vec<f64>,
+        ticket: FillTicket,
+        idx: &DualLayerIndex,
+        w: &Weights,
+        mut r: TopkResult,
+    ) -> TopkResult {
+        let rel = idx.relation();
+        let k = ticket.k;
+        let barrier = r
+            .ids
+            .get(k)
+            .map_or(f64::INFINITY, |&t| w.score(rel.tuple(t)));
+        r.ids.truncate(k);
+        let answer = r.ids.iter().map(|&t| (u64::from(t), rel.tuple(t)));
+        self.fill(ticket, w, answer, barrier);
+        r
+    }
+
+    /// The one cache fill: stores the answer a ticket's traversal found.
+    /// `answer` yields its first k `(id, row)` pairs in answer order;
+    /// `barrier` is the (k+1)-th score under `w` (`+∞` when the answer
+    /// exhausts the data).
+    pub(crate) fn fill<'r>(
+        &self,
+        ticket: FillTicket,
+        w: &Weights,
+        answer: impl Iterator<Item = (u64, &'r [f64])>,
         barrier: f64,
     ) {
+        let FillTicket { key, generation, k } = ticket;
+        let mut ids = Vec::with_capacity(k);
+        let mut coords = Vec::with_capacity(k * w.dims());
+        for (id, row) in answer {
+            ids.push(id);
+            coords.extend_from_slice(row);
+        }
         let interval = match key {
             CacheKey::Cell { .. } => {
-                let iv = interval_2d(w0[0], &coords, barrier);
+                let iv = interval_2d(w.as_slice()[0], &coords, barrier);
                 if iv.0 >= iv.1 {
                     // Degenerate (a tie exactly at w0): the entry could
                     // never hit, so don't spend a slot on it.
@@ -558,7 +588,7 @@ impl ResultCache {
         let entry = Entry {
             generation,
             stamp: self.tick.fetch_add(1, Relaxed),
-            w0: w0.into(),
+            w0: w.as_slice().into(),
             ids: ids.into_boxed_slice(),
             coords: coords.into_boxed_slice(),
             barrier,
@@ -629,9 +659,9 @@ fn evict_oldest(shard: &mut Shard, generation: u64) -> u64 {
 
 /// The d ≥ 3 certificate (module docs): rescores the cached tuples under
 /// `w` and accepts iff every one scores strictly below the displaced
-/// bound `B − neg − SLACK`. Returns the ids in the exact `(score, id)`
+/// bound `B − neg − SLACK`. Returns the `(score, id)` pairs in the exact
 /// order the traversal would emit.
-fn certify(e: &Entry, w: &Weights, dims: usize) -> Option<Vec<u64>> {
+fn certify(e: &Entry, w: &Weights, dims: usize) -> Option<Vec<(f64, u64)>> {
     let ws = w.as_slice();
     let mut neg = 0.0f64;
     for (w0j, wj) in e.w0.iter().zip(&ws[..dims]) {
@@ -655,7 +685,13 @@ fn certify(e: &Entry, w: &Weights, dims: usize) -> Option<Vec<u64>> {
         return None;
     }
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-    Some(scored.into_iter().map(|(_, id)| id).collect())
+    Some(scored)
+}
+
+/// A hit's ids as static tuple ids (a static index filled them from
+/// `TupleId`s).
+pub(crate) fn static_ids(hits: Vec<(f64, u64)>) -> Vec<TupleId> {
+    hits.into_iter().map(|(_, id)| id as TupleId).collect()
 }
 
 /// Closed-form 2-d validity interval: the open range of `w₁` on which the

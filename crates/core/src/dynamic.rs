@@ -16,10 +16,11 @@
 //! brute-force oracle over the live multiset. Ids returned are *handles*
 //! (stable across rebuilds), not positions in the current index.
 
-use crate::cache::{CacheLookup, ResultCache};
+use crate::cache::{Lookup, ResultCache};
 use crate::index::DualLayerIndex;
 use crate::options::DlOptions;
-use crate::query::{QueryBudget, TopkResult, TruncateReason};
+use crate::query::{QueryBudget, TruncateReason};
+use crate::shard::ScoredHit;
 use crate::snapshot::IndexSnapshot;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::collections::HashSet;
@@ -310,170 +311,89 @@ impl DynamicIndex {
     /// With a cache attached, hits return the same handles with the
     /// cache's cost semantics (0 on a 2-d cell hit, k rescores on a
     /// certified hit) and misses report the cost of the k+1-fetch the
-    /// cache fill requires; answers are bit-identical either way. The
-    /// stored (k+1)-th *merged* score is a sound barrier: any unfetched
-    /// indexed tuple scores at least the traversal's last fetched answer,
-    /// which is at least the merged (k+1)-th.
+    /// cache fill requires; answers are bit-identical either way.
     pub fn topk(&self, w: &Weights, k: usize) -> (Vec<Handle>, Cost) {
-        let k_eff = k.min(self.len());
-        let mut cost = Cost::new();
-        if k_eff == 0 {
-            return (Vec::new(), cost);
-        }
-        let cache = self.cache.as_deref().filter(|c| k_eff <= c.config().max_k);
-        let mut fill = None;
-        if let Some(c) = cache {
-            let key = c.key_for_parts(self.index.dims(), self.index.zero2d(), w, k_eff as u32);
-            let generation = c.generation();
-            match c.lookup_raw(&key, w, self.index.dims(), generation) {
-                CacheLookup::Hit2d(ids) => return (ids, Cost::new()),
-                CacheLookup::HitCertified(ids, evals) => {
-                    return (
-                        ids,
-                        Cost {
-                            evaluated: evals,
-                            pseudo_evaluated: 0,
-                        },
-                    )
-                }
-                CacheLookup::Miss => fill = Some((key, generation)),
-            }
-        }
-        // On a cache fill, fetch one extra answer: it is the new entry's
-        // barrier (the score no outside tuple can beat).
-        let want = if fill.is_some() {
-            (k_eff + 1).min(self.len())
-        } else {
-            k_eff
-        };
-        // Over-fetch from the index to absorb tombstoned answers. Deleted
-        // indexed tuples are at most `tombstones` many.
-        let fetch = want + self.tombstones.len();
-        let TopkResult { ids, cost: c } = self.index.topk(w, fetch);
-        cost.merge(&c);
-        let mut merged: Vec<(f64, Handle)> = Vec::with_capacity(ids.len() + self.buffer.len());
-        for t in ids {
-            let h = self.indexed_handles[t as usize];
-            if !self.tombstones.contains(&h) {
-                merged.push((w.score(self.index.relation().tuple(t)), h));
-            }
-        }
-        drtopk_obs::metrics().dynamic_buffer_scan(self.buffer.len() as u64);
-        for (h, row) in &self.buffer {
-            if !self.tombstones.contains(h) {
-                cost.tick();
-                merged.push((w.score(row), *h));
-            }
-        }
-        merged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
-        if let (Some((key, generation)), Some(c)) = (fill, cache) {
-            let barrier = if merged.len() > k_eff {
-                merged[k_eff].0
-            } else {
-                f64::INFINITY
-            };
-            let ids: Vec<u64> = merged[..k_eff.min(merged.len())]
-                .iter()
-                .map(|&(_, h)| h)
-                .collect();
-            let dims = self.index.dims();
-            let mut coords = Vec::with_capacity(ids.len() * dims);
-            for &h in &ids {
-                coords.extend_from_slice(self.get(h).expect("answer handle is live"));
-            }
-            c.store_raw(key, generation, w.as_slice(), ids, coords, barrier);
-        }
-        merged.truncate(k_eff);
-        (merged.into_iter().map(|(_, h)| h).collect(), cost)
+        let (hits, cost, _) = self.answer(w, k, &QueryBudget::unlimited());
+        (hits.into_iter().map(|(_, h)| h).collect(), cost)
     }
 
     /// Budget-guarded top-k over the live tuples, with the true-prefix
     /// partial-result contract of [`DualLayerIndex::topk_guarded`].
     ///
-    /// When the static traversal trips the budget after fetching its exact
-    /// top-m, the last fetched static entry `(S, h_m)` is a sound barrier:
-    /// the traversal's prefix property guarantees every *unfetched* indexed
-    /// tuple orders strictly after `(S, h_m)` under `(score, handle)`, so
-    /// merged entries at or below that threshold are exactly the true
-    /// combined prefix over index + buffer. Entries past the barrier are
-    /// discarded rather than returned speculatively.
-    ///
-    /// With a cache attached the guarded path probes it (hits bypass the
-    /// traversal entirely) but never fills it: a truncated answer must not
-    /// poison the cache, and the fill's k+1 over-fetch is a cost the
-    /// budgeted path should not pay.
+    /// With a cache attached the guarded path looks it up (hits bypass
+    /// the traversal entirely) but fills it only under an unlimited
+    /// budget: a truncated answer must not poison the cache, and the
+    /// fill's k+1 over-fetch is a cost the budgeted path should not pay.
     pub fn topk_guarded(&self, w: &Weights, k: usize, budget: &QueryBudget) -> DynamicGuardedTopk {
-        if budget.is_unlimited() {
-            let (ids, cost) = self.topk(w, k);
-            return DynamicGuardedTopk {
-                ids,
-                cost,
-                truncated: None,
-            };
+        let (hits, cost, truncated) = self.answer(w, k, budget);
+        DynamicGuardedTopk {
+            ids: hits.into_iter().map(|(_, h)| h).collect(),
+            cost,
+            truncated,
         }
+    }
+
+    /// The one query body behind [`topk`](Self::topk),
+    /// [`topk_guarded`](Self::topk_guarded) and the shard probe: the
+    /// answer as `(score, handle)` pairs ascending, its cost, and the
+    /// tripped limit when the budget truncated it.
+    ///
+    /// The static traversal over-fetches by the tombstone count (deleted
+    /// indexed tuples are at most that many) and its answers merge with
+    /// the scanned buffer. When the traversal trips the budget after
+    /// fetching its exact top-m, the last fetched static entry `(S, h_m)`
+    /// is a sound barrier: the traversal's prefix property guarantees
+    /// every *unfetched* indexed tuple orders strictly after `(S, h_m)`
+    /// under `(score, handle)`, so merged entries at or below it are
+    /// exactly the true combined prefix over index + buffer. Entries past
+    /// the barrier are discarded rather than returned speculatively.
+    ///
+    /// A cache fill fetches one extra answer. The stored (k+1)-th
+    /// *merged* score is a sound cache barrier: any unfetched indexed
+    /// tuple scores at least the traversal's last fetched answer, which
+    /// is at least the merged (k+1)-th.
+    pub(crate) fn answer(
+        &self,
+        w: &Weights,
+        k: usize,
+        budget: &QueryBudget,
+    ) -> (Vec<ScoredHit>, Cost, Option<TruncateReason>) {
         let k_eff = k.min(self.len());
         let mut cost = Cost::new();
         if k_eff == 0 {
-            return DynamicGuardedTopk {
-                ids: Vec::new(),
-                cost,
-                truncated: None,
-            };
+            return (Vec::new(), cost, None);
         }
-        if let Some(c) = self.cache.as_deref().filter(|c| k_eff <= c.config().max_k) {
-            let key = c.key_for_parts(self.index.dims(), self.index.zero2d(), w, k_eff as u32);
-            let generation = c.generation();
-            match c.lookup_raw(&key, w, self.index.dims(), generation) {
-                CacheLookup::Hit2d(ids) => {
-                    return DynamicGuardedTopk {
-                        ids,
-                        cost: Cost::new(),
-                        truncated: None,
-                    }
-                }
-                CacheLookup::HitCertified(ids, evals) => {
-                    return DynamicGuardedTopk {
-                        ids,
-                        cost: Cost {
-                            evaluated: evals,
-                            pseudo_evaluated: 0,
-                        },
-                        truncated: None,
-                    }
-                }
-                CacheLookup::Miss => {}
-            }
-        }
-        let fetch = k_eff + self.tombstones.len();
-        let guarded = self.index.topk_guarded(w, fetch, budget);
+        let cache = self.cache.as_deref();
+        let ticket = match cache.map(|c| c.lookup(&self.index, w, k_eff, budget)) {
+            Some(Lookup::Hit { hits, cost, .. }) => return (hits, cost, None),
+            Some(Lookup::Miss(ticket)) => ticket,
+            None => None,
+        };
+        let want = ticket.as_ref().map_or(k_eff, |t| t.fetch().min(self.len()));
+        let guarded = self
+            .index
+            .topk_guarded(w, want + self.tombstones.len(), budget);
         cost.merge(&guarded.cost);
-        let truncated_static = guarded.truncated;
+        let rel = self.index.relation();
         // Barrier: the last *raw* fetched static entry (tombstoned or not)
         // bounds everything the traversal did not fetch.
-        let barrier = if truncated_static.is_some() {
-            guarded.ids.last().map(|&t| {
-                (
-                    w.score(self.index.relation().tuple(t)),
-                    self.indexed_handles[t as usize],
-                )
-            })
-        } else {
-            None
+        let barrier = match guarded.truncated {
+            Some(_) => match guarded.ids.last() {
+                Some(&t) => Some((w.score(rel.tuple(t)), self.indexed_handles[t as usize])),
+                // Truncated before fetching anything: no sound prefix
+                // exists unless the index is empty.
+                None if !self.indexed_handles.is_empty() => {
+                    return (Vec::new(), cost, guarded.truncated)
+                }
+                None => None,
+            },
+            None => None,
         };
-        if truncated_static.is_some() && barrier.is_none() && !self.indexed_handles.is_empty() {
-            // Truncated before fetching anything: no sound prefix exists.
-            return DynamicGuardedTopk {
-                ids: Vec::new(),
-                cost,
-                truncated: truncated_static,
-            };
-        }
-        let mut merged: Vec<(f64, Handle)> =
-            Vec::with_capacity(guarded.ids.len() + self.buffer.len());
+        let mut merged: Vec<ScoredHit> = Vec::with_capacity(guarded.ids.len() + self.buffer.len());
         for t in guarded.ids {
             let h = self.indexed_handles[t as usize];
             if !self.tombstones.contains(&h) {
-                merged.push((w.score(self.index.relation().tuple(t)), h));
+                merged.push((w.score(rel.tuple(t)), h));
             }
         }
         drtopk_obs::metrics().dynamic_buffer_scan(self.buffer.len() as u64);
@@ -487,19 +407,18 @@ impl DynamicIndex {
         if let Some((bs, bh)) = barrier {
             merged.retain(|&(s, h)| s < bs || (s == bs && h <= bh));
         }
+        if let (Some(ticket), Some(c)) = (ticket, cache) {
+            let fill_barrier = merged.get(k_eff).map_or(f64::INFINITY, |&(s, _)| s);
+            let answer = merged[..k_eff.min(merged.len())]
+                .iter()
+                .map(|&(_, h)| (h, self.get(h).expect("answer handle is live")));
+            c.fill(ticket, w, answer, fill_barrier);
+        }
         merged.truncate(k_eff);
         // A truncated traversal can still leave a complete answer when the
         // sound prefix reaches k: report it as complete.
-        let truncated = if merged.len() == k_eff {
-            None
-        } else {
-            truncated_static
-        };
-        DynamicGuardedTopk {
-            ids: merged.into_iter().map(|(_, h)| h).collect(),
-            cost,
-            truncated,
-        }
+        let truncated = guarded.truncated.filter(|_| merged.len() < k_eff);
+        (merged, cost, truncated)
     }
 
     /// Forces a rebuild now (compacts buffer and tombstones).

@@ -38,7 +38,6 @@ pub mod explain;
 pub mod index;
 pub mod monotone;
 pub mod options;
-mod par;
 pub mod profile;
 pub mod query;
 pub mod shard;
@@ -47,7 +46,9 @@ pub mod verify;
 pub mod zero;
 
 pub use batch::{BatchExecutor, RequestError};
-pub use cache::{CacheConfig, CacheOutcome, CacheStats, CachedTopk, ResultCache};
+pub use cache::{
+    CacheConfig, CacheOutcome, CacheStats, CachedTopk, FillTicket, Lookup, ResultCache,
+};
 pub use dynamic::{DynamicGuardedTopk, DynamicIndex, DynamicState, Handle};
 pub use explain::QueryExplain;
 pub use index::{DualLayerIndex, IndexStats, NodeId};

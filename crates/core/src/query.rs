@@ -371,7 +371,8 @@ impl QueryScratch {
 }
 
 /// A bounded free list of [`QueryScratch`]es, owned by one index, so the
-/// allocating entry points ([`DualLayerIndex::topk`] and friends, every
+/// allocating entry points ([`DualLayerIndex::topk`] and friends, the
+/// [`TopkCursor`] behind `topk_iter` and `topk_where`, every
 /// [`crate::BatchExecutor`] worker, every [`crate::DynamicIndex`] probe)
 /// pay the O(n) allocation once per concurrent caller instead of once per
 /// query. Checkout allocates when the pool is empty; check-in drops the
@@ -781,7 +782,7 @@ impl DualLayerIndex {
 pub struct TopkCursor<'a> {
     idx: &'a DualLayerIndex,
     w: Weights,
-    scratch: QueryScratch,
+    scratch: PooledScratch<'a>,
     cost: Cost,
     /// `Some` until the drop flush; the span covers the cursor's lifetime.
     span: Option<QuerySpan>,
@@ -791,7 +792,7 @@ impl<'a> TopkCursor<'a> {
     /// Starts a progressive traversal (seeds the queue).
     pub fn new(idx: &'a DualLayerIndex, w: &Weights) -> Self {
         let span = Some(QuerySpan::start());
-        let mut scratch = QueryScratch::for_index(idx);
+        let mut scratch = idx.checkout_scratch();
         let mut cost = Cost::new();
         idx.seed_queue(w, &mut scratch, &mut cost);
         TopkCursor {

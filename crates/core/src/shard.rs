@@ -39,6 +39,7 @@
 
 use crate::dynamic::{DynamicIndex, Handle};
 use crate::query::{QueryBudget, TruncateReason};
+use drtopk_common::par::panic_message;
 use drtopk_common::{Cost, Error, Relation, Weights};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -305,16 +306,10 @@ impl ShardProbe for DynamicIndex {
         k: usize,
         budget: &QueryBudget,
     ) -> Result<ShardAnswer, ShardError> {
-        let g = self.topk_guarded(w, k, budget);
-        if let Some(r) = g.truncated {
-            return Err(ShardError::Truncated(r));
+        match self.answer(w, k, budget) {
+            (_, _, Some(r)) => Err(ShardError::Truncated(r)),
+            (hits, cost, None) => Ok((hits, cost)),
         }
-        let hits = g
-            .ids
-            .iter()
-            .map(|&h| (w.score(self.get(h).expect("answer handle is live")), h))
-            .collect();
-        Ok((hits, g.cost))
     }
 
     fn dims(&self) -> usize {
@@ -953,17 +948,6 @@ impl<P: ShardProbe> ShardProbe for ReplicaSet<P> {
 
     fn dims(&self) -> usize {
         self.dims
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

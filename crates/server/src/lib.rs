@@ -1,8 +1,8 @@
 //! Network index service for the dual-resolution layer index.
 //!
 //! Everything the workspace built in-process — the O(touched) query hot
-//! path, guarded budgets, the batch executor, the weight-space result
-//! cache — becomes reachable over TCP here. The design splits three
+//! path, guarded budgets, the weight-space result cache, the shard
+//! router — becomes reachable over TCP here. The design splits three
 //! ways:
 //!
 //! * [`protocol`] — the hand-rolled wire format. **`PROTOCOL.md` is the
@@ -10,9 +10,10 @@
 //!   write-ahead log, a budget header per query, explicit error codes.
 //! * [`server`] — the service: per-connection readers feed one bounded
 //!   admission queue; a fixed worker pool drains it in flush-when-idle
-//!   micro-batches (whatever is queued, up to `batch_max`) through
-//!   [`BatchExecutor::run_guarded_each`](drtopk_core::BatchExecutor::run_guarded_each),
-//!   each request under its own deadline. Overload sheds fast
+//!   micro-batches (whatever is queued, up to `batch_max`), answering
+//!   each request under its own deadline in one panic-isolated loop.
+//!   With the cache on, admission makes each request's one cache lookup.
+//!   Overload sheds fast
 //!   (`Overloaded` replies) instead of queueing without bound; shutdown
 //!   drains gracefully; `/metrics` answers both a protocol frame and
 //!   plain HTTP.

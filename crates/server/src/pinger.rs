@@ -7,7 +7,7 @@
 //! accepts TCP connects, so liveness means an answered PONG, not an
 //! accepted SYN. Outcomes feed two levels of state:
 //!
-//! * **Endpoint beliefs** ([`ReplicaSet::set_up`]): `down_after`
+//! * **Endpoint beliefs** ([`ReplicaSet::set_up`](drtopk_core::ReplicaSet::set_up)): `down_after`
 //!   consecutive ping failures mark an endpoint down (probes stop
 //!   preferring it); one answered PONG marks it up again.
 //! * **Router health slots**: all endpoints of a shard down →

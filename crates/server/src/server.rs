@@ -4,15 +4,20 @@
 //! Architecture (DESIGN.md §8): one reader thread per connection parses
 //! frames (`PROTOCOL.md` §2) and *admits* queries into a single bounded
 //! queue; a fixed pool of worker threads pulls micro-batches out of that
-//! queue and answers them through [`BatchExecutor::run_guarded_each`],
-//! each request under its own [`QueryBudget`] built from the frame's
-//! budget header (§3.1) at admission time — so time spent queued counts
-//! against the client's deadline. When the queue is full, admission sheds
+//! queue and answers each request through its backend, under its own
+//! [`QueryBudget`] built from the frame's budget header (§3.1) at
+//! admission time — so time spent queued counts against the client's
+//! deadline. A panic while answering is confined to its request, which
+//! gets an `Internal` error reply. When the queue is full, admission sheds
 //! the request with a fast `Overloaded` reply (§5.1) instead of letting
 //! latency collapse. A free worker takes whatever is queued, up to
 //! `batch_max`, and runs it at once: it never waits for more requests to
 //! arrive, so batches form only from requests that queued while every
 //! worker was busy.
+//!
+//! With the result cache on, admission makes the request's one cache
+//! lookup: a hit is answered on the reader thread, and a miss carries the
+//! lookup's fill ticket through the queue to the worker that answers it.
 
 use crate::pinger::{HealthPinger, PingerConfig};
 use crate::protocol::{
@@ -20,15 +25,19 @@ use crate::protocol::{
 };
 use crate::remote::RemoteRouter;
 use crate::shard::ServedShard;
-use drtopk_common::Weights;
+use drtopk_common::par::panic_message;
+use drtopk_common::{Cost, Weights};
+use drtopk_core::batch::WORKER_FAILPOINT;
+use drtopk_core::shard::ShardError;
 use drtopk_core::{
-    BatchExecutor, DualLayerIndex, QueryBudget, ResultCache, ShardHealth, ShardProbe, ShardRouter,
-    TruncateReason,
+    DualLayerIndex, FillTicket, GuardedTopk, Lookup, QueryBudget, ResultCache, ShardHealth,
+    ShardProbe, ShardRouter, ShardedTopk, TruncateReason,
 };
 use drtopk_obs::metrics;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -54,19 +63,12 @@ const READ_POLL: Duration = Duration::from_millis(25);
 ///     .batch_max(64)
 ///     .queue_depth(512)
 ///     .cache(true);
-/// assert_eq!(cfg.get_workers(), 2);
-/// assert_eq!(cfg.get_queue_depth(), 512);
+/// # let _ = cfg;
 /// ```
 ///
 /// Defaults favor a small host: 2 workers, batches of at most 32 of the
 /// requests already queued (a worker never waits to fill one), a queue of
 /// 1024, no cache.
-///
-/// ```
-/// let cfg = drtopk_server::ServerConfig::new();
-/// assert_eq!(cfg.get_batch_max(), 32);
-/// assert!(!cfg.get_cache());
-/// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     addr: String,
@@ -128,31 +130,6 @@ impl ServerConfig {
         self.cache = on;
         self
     }
-
-    /// Configured listen address.
-    pub fn get_addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Configured worker count.
-    pub fn get_workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Configured micro-batch size bound.
-    pub fn get_batch_max(&self) -> usize {
-        self.batch_max
-    }
-
-    /// Configured admission bound.
-    pub fn get_queue_depth(&self) -> usize {
-        self.queue_depth
-    }
-
-    /// Whether the result cache is enabled.
-    pub fn get_cache(&self) -> bool {
-        self.cache
-    }
 }
 
 /// One admitted query waiting in the shared queue.
@@ -166,6 +143,9 @@ struct Pending {
     /// The request was a SHARD_QUERY (`PROTOCOL.md` §3.5): the reply
     /// must carry per-id scores for the router's k-way merge.
     want_scores: bool,
+    /// The admission lookup's fill ticket: the worker's traversal fills
+    /// the cache entry that lookup missed.
+    fill: Option<FillTicket>,
 }
 
 /// The reply side of one connection: workers answering a micro-batch
@@ -219,6 +199,78 @@ impl Backend {
             Backend::Remote { router } => router.dims(),
         }
     }
+
+    /// Answers one admitted request. A shard node's truncated probe
+    /// reports the truncation flag with an empty id list: the router never
+    /// merges a partial shard answer, so shipping the prefix would only
+    /// waste wire.
+    fn answer(&self, p: &mut Pending) -> Message {
+        let (w, k, budget) = (&p.weights, p.k, &p.budget);
+        match self {
+            Backend::Single { index, cache } => {
+                let g = match (cache, p.fill.take()) {
+                    (Some(c), Some(ticket)) => {
+                        let r = index.topk(w, ticket.fetch());
+                        let r = c.fill_static(ticket, index, w, r);
+                        GuardedTopk {
+                            ids: r.ids,
+                            cost: r.cost,
+                            truncated: None,
+                        }
+                    }
+                    _ => index.topk_guarded(w, k, budget),
+                };
+                let ids = g.ids.into_iter().map(u64::from).collect();
+                topk_reply(ids, g.cost, g.truncated, None, None)
+            }
+            Backend::Sharded { router } => routed_reply(router.topk(w, k, budget)),
+            Backend::Remote { router } => routed_reply(router.topk(w, k, budget)),
+            Backend::ShardNode { shard } => match shard.probe(w, k, budget) {
+                Ok((hits, cost)) => {
+                    let (scores, ids): (Vec<f64>, Vec<u64>) = hits.into_iter().unzip();
+                    let scores = p.want_scores.then_some(scores);
+                    topk_reply(ids, cost, None, None, scores)
+                }
+                Err(ShardError::Truncated(r)) => {
+                    topk_reply(Vec::new(), Cost::new(), Some(r), None, None)
+                }
+                Err(e) => internal(e.to_string()),
+            },
+        }
+    }
+}
+
+/// A TOPK reply (`PROTOCOL.md` §4.1).
+fn topk_reply(
+    ids: Vec<u64>,
+    cost: Cost,
+    truncated: Option<TruncateReason>,
+    coverage: Option<Coverage>,
+    scores: Option<Vec<f64>>,
+) -> Message {
+    Message::Topk {
+        truncated: match truncated {
+            None => 0,
+            Some(TruncateReason::Deadline) => 1,
+            Some(TruncateReason::CostExceeded) => 2,
+            Some(TruncateReason::Cancelled) => 3,
+        },
+        evaluated: cost.evaluated,
+        pseudo_evaluated: cost.pseudo_evaluated,
+        ids,
+        coverage,
+        scores,
+    }
+}
+
+/// A router's answer as a TOPK reply, with the coverage extension
+/// whenever a shard was skipped.
+fn routed_reply(r: ShardedTopk) -> Message {
+    let coverage = r.coverage.degraded().then(|| Coverage {
+        shards: r.coverage.total() as u16,
+        answered: r.coverage.mask(),
+    });
+    topk_reply(r.ids, r.cost, r.truncated, coverage, None)
 }
 
 /// State shared by the accept loop, connection readers, and workers.
@@ -503,7 +555,7 @@ impl Server {
     }
 
     fn start_backend(backend: Backend, cfg: ServerConfig) -> io::Result<ServerHandle> {
-        let listener = TcpListener::bind(cfg.get_addr())?;
+        let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             backend,
@@ -673,11 +725,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
     // The accept-path failpoint: degrade to a connection-scoped ERROR
     // (§5.2, request_id 0) instead of a hang or a silent close.
     if let Err(e) = drtopk_failpoints::hit(ACCEPT_FAILPOINT) {
-        let msg = Message::Error {
-            code: ErrorCode::Internal,
-            message: e.to_string(),
-        };
-        let _ = write_frame(&mut stream, 0, &msg);
+        let _ = write_frame(&mut stream, 0, &internal(e.to_string()));
         return;
     }
 
@@ -733,37 +781,32 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Routes one sound frame (PROTOCOL.md §3).
 fn dispatch(request_id: u64, msg: Message, writer: &Arc<ConnWriter>, shared: &Arc<Shared>) {
+    let want_scores = matches!(msg, Message::ShardQuery { .. });
     match msg {
         Message::Query {
             deadline_ms,
             max_cost,
             k,
             weights,
-        } => admit_query(
-            request_id,
+        }
+        | Message::ShardQuery {
             deadline_ms,
             max_cost,
             k,
             weights,
-            false,
-            writer,
-            shared,
-        ),
-        Message::ShardQuery {
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-        } => admit_query(
-            request_id,
-            deadline_ms,
-            max_cost,
-            k,
-            weights,
-            true,
-            writer,
-            shared,
-        ),
+        } => {
+            // The budget clock starts here, at admission (§3.1): queue
+            // wait counts against the client's deadline.
+            let mut budget = QueryBudget::unlimited();
+            if deadline_ms > 0 {
+                budget = budget.with_timeout(Duration::from_millis(u64::from(deadline_ms)));
+            }
+            if max_cost > 0 {
+                budget = budget.with_max_cost(max_cost);
+            }
+            let k = k as usize;
+            admit_query(request_id, weights, k, budget, want_scores, writer, shared);
+        }
         Message::MetricsRequest => {
             writer.send(request_id, &Message::MetricsReply(shared.prometheus_text()));
         }
@@ -789,15 +832,14 @@ fn dispatch(request_id: u64, msg: Message, writer: &Arc<ConnWriter>, shared: &Ar
     }
 }
 
-/// Admission control (PROTOCOL.md §3.1, §5.1): validate, try the cache,
-/// then either enqueue under the depth bound or shed with `Overloaded`.
-#[allow(clippy::too_many_arguments)]
+/// Admission control (PROTOCOL.md §3.1, §5.1): validate, make the
+/// request's one cache lookup, then either enqueue under the depth bound
+/// or shed with `Overloaded`.
 fn admit_query(
     request_id: u64,
-    deadline_ms: u32,
-    max_cost: u64,
-    k: u32,
     weights: Vec<f64>,
+    k: usize,
+    budget: QueryBudget,
     want_scores: bool,
     writer: &Arc<ConnWriter>,
     shared: &Arc<Shared>,
@@ -828,39 +870,24 @@ fn admit_query(
         Ok(w) => w,
         Err(e) => return reject(ErrorCode::BadRequest, e.to_string()),
     };
-    let k = k as usize;
 
     // Hot weight cells never touch the queue: a cache hit is a complete
-    // answer served on the reader thread.
+    // answer served on the reader thread. A miss takes its fill ticket
+    // along to the worker.
+    let mut fill = None;
     if let Backend::Single {
         index,
         cache: Some(cache),
     } = &shared.backend
     {
-        if let Some(hit) = cache.probe(index, &w, k) {
-            writer.send(
-                request_id,
-                &Message::Topk {
-                    truncated: 0,
-                    evaluated: hit.cost.evaluated,
-                    pseudo_evaluated: hit.cost.pseudo_evaluated,
-                    ids: hit.ids.iter().map(|&id| u64::from(id)).collect(),
-                    coverage: None,
-                    scores: None,
-                },
-            );
-            return;
+        match cache.lookup(index, &w, k.min(index.len()), &budget) {
+            Lookup::Hit { hits, cost, .. } => {
+                let ids = hits.into_iter().map(|(_, id)| id).collect();
+                writer.send(request_id, &topk_reply(ids, cost, None, None, None));
+                return;
+            }
+            Lookup::Miss(ticket) => fill = ticket,
         }
-    }
-
-    // The budget clock starts here, at admission (§3.1): queue wait
-    // counts against the client's deadline.
-    let mut budget = QueryBudget::unlimited();
-    if deadline_ms > 0 {
-        budget = budget.with_timeout(Duration::from_millis(u64::from(deadline_ms)));
-    }
-    if max_cost > 0 {
-        budget = budget.with_max_cost(max_cost);
     }
 
     let mut queue = shared.queue.lock().unwrap();
@@ -878,6 +905,7 @@ fn admit_query(
         admitted: Instant::now(),
         writer: Arc::clone(writer),
         want_scores,
+        fill,
     });
     metrics().server_enqueue();
     drop(queue);
@@ -918,125 +946,35 @@ fn drain_batch<T>(queue: &mut VecDeque<T>, batch_max: usize) -> Vec<T> {
     queue.drain(..take).collect()
 }
 
+/// Answers a batch in admission order. Each request runs inside its own
+/// `catch_unwind`: a panic — a poisoned probe, an armed
+/// [`WORKER_FAILPOINT`] — answers that request `Internal`, and the worker
+/// (and the rest of its batch) lives on. Parallelism comes from the
+/// worker pool, so concurrent batches never oversubscribe the host.
 fn run_batch(batch: Vec<Pending>, shared: &Arc<Shared>) {
     let m = metrics();
     m.server_batch(batch.len() as u64);
     for p in &batch {
         m.server_queue_wait(p.admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
-    match &shared.backend {
-        Backend::Single { index, cache } => run_batch_single(batch, index, cache.as_ref()),
-        Backend::Sharded { router } => run_batch_sharded(batch, router),
-        Backend::ShardNode { shard } => run_batch_shard_node(batch, shard),
-        Backend::Remote { router } => run_batch_sharded(batch, router),
-    }
-}
-
-fn run_batch_single(batch: Vec<Pending>, index: &Arc<DualLayerIndex>, cache: Option<&ResultCache>) {
-    let requests: Vec<(Weights, usize, QueryBudget)> = batch
-        .iter()
-        .map(|p| (p.weights.clone(), p.k, p.budget.clone()))
-        .collect();
-    // Parallelism comes from the worker pool; each micro-batch runs on
-    // its worker's thread so concurrent batches never oversubscribe.
-    let mut exec = BatchExecutor::with_threads(index, 1);
-    if let Some(cache) = cache {
-        exec = exec.with_cache(cache);
-    }
-    let results = exec.run_guarded_each(&requests);
-    for (p, r) in batch.into_iter().zip(results) {
-        let msg = match r {
-            Ok(g) => Message::Topk {
-                truncated: truncate_flag(g.truncated),
-                evaluated: g.cost.evaluated,
-                pseudo_evaluated: g.cost.pseudo_evaluated,
-                ids: g.ids.iter().map(|&id| u64::from(id)).collect(),
-                coverage: None,
-                scores: None,
-            },
-            Err(e) => Message::Error {
-                code: ErrorCode::Internal,
-                message: e.message,
-            },
-        };
-        p.writer.send(p.request_id, &msg);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
-    }
-}
-
-fn run_batch_sharded<S: ShardProbe>(batch: Vec<Pending>, router: &Arc<ShardRouter<S>>) {
-    // The router fans each request across all shards itself, so requests
-    // run one at a time on this worker — cross-request parallelism still
-    // comes from the worker pool. Generic over the probe: the same code
-    // serves in-process shards and remote replica sets.
-    for p in batch {
-        let r = router.topk(&p.weights, p.k, &p.budget);
-        let msg = Message::Topk {
-            truncated: truncate_flag(r.truncated),
-            evaluated: r.cost.evaluated,
-            pseudo_evaluated: r.cost.pseudo_evaluated,
-            ids: r.ids,
-            coverage: r.coverage.degraded().then(|| Coverage {
-                shards: r.coverage.total() as u16,
-                answered: r.coverage.mask(),
-            }),
-            scores: None,
-        };
-        p.writer.send(p.request_id, &msg);
-        p.writer.outstanding.fetch_sub(1, SeqCst);
-    }
-}
-
-/// Answers a batch on a shard node: every request probes this node's one
-/// shard directly. A SHARD_QUERY reply attaches scores (the router's
-/// merge orders on `(score, handle)`); a truncated probe reports the
-/// truncation flag with an empty id list — the router never merges a
-/// partial shard answer, so shipping the prefix would only waste wire.
-fn run_batch_shard_node(batch: Vec<Pending>, shard: &Arc<ServedShard>) {
-    use drtopk_core::shard::ShardError;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    for p in batch {
-        // The same per-request panic isolation the batch executor gives
-        // the single backend: a poisoned probe answers Internal, the
-        // worker (and the node) live on.
-        let outcome = catch_unwind(AssertUnwindSafe(|| shard.probe(&p.weights, p.k, &p.budget)))
-            .unwrap_or_else(|_| Err(ShardError::Panic("shard probe panicked".to_string())));
+    for mut p in batch {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            drtopk_failpoints::hit(WORKER_FAILPOINT).map(|()| shared.backend.answer(&mut p))
+        }));
         let msg = match outcome {
-            Ok((hits, cost)) => {
-                let (scores, ids): (Vec<f64>, Vec<u64>) = hits.into_iter().unzip();
-                Message::Topk {
-                    truncated: 0,
-                    evaluated: cost.evaluated,
-                    pseudo_evaluated: cost.pseudo_evaluated,
-                    ids,
-                    coverage: None,
-                    scores: p.want_scores.then_some(scores),
-                }
-            }
-            Err(ShardError::Truncated(r)) => Message::Topk {
-                truncated: truncate_flag(Some(r)),
-                evaluated: 0,
-                pseudo_evaluated: 0,
-                ids: Vec::new(),
-                coverage: None,
-                scores: None,
-            },
-            Err(e) => Message::Error {
-                code: ErrorCode::Internal,
-                message: e.to_string(),
-            },
+            Ok(Ok(msg)) => msg,
+            Ok(Err(e)) => internal(e.to_string()),
+            Err(payload) => internal(panic_message(payload.as_ref())),
         };
         p.writer.send(p.request_id, &msg);
         p.writer.outstanding.fetch_sub(1, SeqCst);
     }
 }
 
-fn truncate_flag(reason: Option<TruncateReason>) -> u8 {
-    match reason {
-        None => 0,
-        Some(TruncateReason::Deadline) => 1,
-        Some(TruncateReason::CostExceeded) => 2,
-        Some(TruncateReason::Cancelled) => 3,
+fn internal(message: String) -> Message {
+    Message::Error {
+        code: ErrorCode::Internal,
+        message,
     }
 }
 
@@ -1076,8 +1014,21 @@ fn serve_http(stream: &mut TcpStream, acc: &mut Vec<u8>, shared: &Arc<Shared>) {
 
 #[cfg(test)]
 mod tests {
-    use super::drain_batch;
+    use super::{drain_batch, ServerConfig};
     use std::collections::VecDeque;
+
+    #[test]
+    fn config_defaults_suit_a_small_host() {
+        let cfg = ServerConfig::new();
+        assert_eq!(cfg.workers, 2);
+        assert_eq!(cfg.batch_max, 32);
+        assert_eq!(cfg.queue_depth, 1024);
+        assert!(!cfg.cache);
+        let cfg = cfg.workers(0).batch_max(0).queue_depth(512).cache(true);
+        assert_eq!((cfg.workers, cfg.batch_max), (1, 1), "both clamp to 1");
+        assert_eq!(cfg.queue_depth, 512);
+        assert!(cfg.cache);
+    }
 
     #[test]
     fn drain_batch_takes_what_is_queued_up_to_batch_max() {

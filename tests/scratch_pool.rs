@@ -41,6 +41,11 @@ fn concurrent_pooled_queries_match_fresh_scratch() {
                         assert_eq!(guarded.ids, want.ids, "{ctx}: topk_guarded");
                         assert_eq!(guarded.cost, want.cost, "{ctx}: topk_guarded");
                         assert_eq!(idx.topk_traced(&w, k).0, want, "{ctx}: topk_traced");
+                        assert_eq!(
+                            idx.topk_where(&w, k, |_, _| true),
+                            want,
+                            "{ctx}: topk_where"
+                        );
                     }
                 })
             })
